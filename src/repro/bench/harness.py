@@ -1,58 +1,23 @@
 """Timing harness and table formatting for the paper's evaluation tables.
 
-Timing protocol follows §7.1: every query gets a warm-up execution, then the
-reported number is the average of ``runs`` successive timed executions of the
-end-to-end query (plan → rewrite → Spark execution → collect). Runs and scale
-are overridable via environment variables so the benchmark suite can be dialed
-up or down:
-
-- ``REPRO_RUNS`` (default 2), ``REPRO_WARMUP`` (default 1)
-- ``REPRO_SNB_SCALE`` / ``REPRO_JOB_SCALE`` / ``REPRO_TPCH_SF``
-- ``REPRO_SHUFFLE_PARTITIONS`` (default 16 during benchmarks)
+Timing protocol follows §7.1, with 5 runs reduced to 2: every query gets
+``WARMUP`` warm-up executions, then the reported number is the mean of
+``RUNS`` successive timed executions of the end-to-end query (plan → rewrite →
+Spark execution → collect).
 """
 from __future__ import annotations
 
-import os
 import time
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from repro.exec.executor import ExecOutcome
 
-RUNS = int(os.environ.get("REPRO_RUNS", "2"))
-WARMUP = int(os.environ.get("REPRO_WARMUP", "1"))
-SNB_SCALE = float(os.environ.get("REPRO_SNB_SCALE", "2.0"))
-JOB_SCALE = float(os.environ.get("REPRO_JOB_SCALE", "0.3"))
-TPCH_SF = float(os.environ.get("REPRO_TPCH_SF", "0.2"))
-SHUFFLE_PARTITIONS = os.environ.get("REPRO_SHUFFLE_PARTITIONS", "16")
-
+RUNS = 2
+WARMUP = 1
 PCTS = (5, 25, 50, 75, 95)
-
-
-def bench_session(spark: SparkSession) -> None:
-    """Benchmark-friendly session knobs: narrower shuffles for ~100 MB inputs
-    and bounded Arrow batches so exploding INLJ extends cannot exhaust the
-    JVM's direct-memory pool."""
-    spark.conf.set("spark.sql.shuffle.partitions", SHUFFLE_PARTITIONS)
-    spark.conf.set("spark.sql.execution.arrow.maxRecordsPerBatch", "8192")
-    # AQE re-optimization adds ~25% fixed latency per action at this scale
-    # and never changes these small plans for the better.
-    spark.conf.set("spark.sql.adaptive.enabled", "false")
-
-
-@dataclass
-class Timed:
-    name: str
-    system: str
-    ms: float
-    rows: int
-    scanned: int
-    table_rows: int
-    all_ms: list[float] = field(default_factory=list)
 
 
 def time_query(fn: Callable[[], ExecOutcome], warmup: int = WARMUP,
@@ -74,32 +39,19 @@ def run_suite(
     runners: dict[str, Callable],
     warmup: int = WARMUP,
     runs: int = RUNS,
-    on_result: Callable[[Timed], None] | None = None,
 ) -> pd.DataFrame:
     """Run every (query, system) pair; returns a tidy results frame."""
-    rows: list[Timed] = []
+    rows = []
     for qname, spec in specs.items():
         for system, runner in runners.items():
-            ms, out, samples = time_query(lambda: runner(spec), warmup, runs)
-            t = Timed(
-                name=qname, system=system, ms=ms,
-                rows=0 if out.result is None else len(out.result),
-                scanned=out.metrics.total_scanned,
-                table_rows=out.metrics.total_table_rows,
-                all_ms=samples,
-            )
-            rows.append(t)
-            if on_result:
-                on_result(t)
-    return pd.DataFrame(
-        [
-            {
-                "query": t.name, "system": t.system, "ms": round(t.ms, 1),
-                "rows": t.rows, "scanned": t.scanned, "table_rows": t.table_rows,
-            }
-            for t in rows
-        ]
-    )
+            ms, out, _ = time_query(lambda: runner(spec), warmup, runs)
+            rows.append({
+                "query": qname, "system": system, "ms": round(ms, 1),
+                "rows": 0 if out.result is None else len(out.result),
+                "scanned": out.metrics.total_scanned,
+                "table_rows": out.metrics.total_table_rows,
+            })
+    return pd.DataFrame(rows)
 
 
 def percentiles(ms: pd.Series) -> dict[str, float]:

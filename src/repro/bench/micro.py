@@ -12,47 +12,48 @@ from __future__ import annotations
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.catalog import Catalog
-from repro.bench.harness import time_query
+from repro.bench.harness import RUNS, run_suite
 from repro.bench.runners import make_runners
+from repro.core.catalog import Catalog
 from repro.plan.spec import JoinEdge, QuerySpec, TableRef
 
 SELECTIVITIES = (0.0001, 0.001, 0.01, 0.1, 0.5, 1.0)
 
 
-def _spec(catalog: Catalog, p_sel: float, k_sel: float, name: str) -> QuerySpec:
+def specs(catalog: Catalog,
+          selectivities: tuple[float, ...] = SELECTIVITIES) -> dict[str, QuerySpec]:
+    """The sweep's queries, named ``<sweep>@<selectivity>``."""
     n_person = catalog.table("person").n_rows
-    kd = catalog.table("knows").pdf_original["creationdate"]
-    k_thresh = int(kd.quantile(min(k_sel, 1.0))) if k_sel < 1.0 else int(kd.max()) + 1
-    p_thresh = max(1, int(n_person * p_sel)) if p_sel < 1.0 else n_person + 1
-    return QuerySpec(
-        name=name,
-        tables=[TableRef("p1", "person"), TableRef("e", "knows"),
-                TableRef("p2", "person")],
-        joins=[JoinEdge.of("p1.personid", "e.person1id"),
-               JoinEdge.of("e.person2id", "p2.personid")],
-        filters=[f"p1.personid < {p_thresh}", f"e.creationdate < {k_thresh}"],
-        select=[("count(*)", "cnt"), ("min(p2.personid)", "min_p2")],
-        group_by=[],
-    )
+    kd = catalog.table("knows").pdf["creationdate"]
+    out = {}
+    for sweep in ("MICRO-P", "MICRO-K"):
+        for sel in selectivities:
+            p_sel, k_sel = (sel, 0.999) if sweep == "MICRO-P" else (0.999, sel)
+            k_thresh = int(kd.quantile(k_sel)) if k_sel < 1.0 else int(kd.max()) + 1
+            p_thresh = max(1, int(n_person * p_sel)) if p_sel < 1.0 else n_person + 1
+            name = f"{sweep}@{sel:g}"
+            out[name] = QuerySpec(
+                name=name,
+                tables=[TableRef("p1", "person"), TableRef("e", "knows"),
+                        TableRef("p2", "person")],
+                joins=[JoinEdge.of("p1.personid", "e.person1id"),
+                       JoinEdge.of("e.person2id", "p2.personid")],
+                filters=[f"p1.personid < {p_thresh}", f"e.creationdate < {k_thresh}"],
+                select=[("count(*)", "cnt"), ("min(p2.personid)", "min_p2")],
+                group_by=[],
+            )
+    return out
 
 
 def run_micro(
     spark: SparkSession,
     catalog: Catalog,
-    systems: list[str] = ("DuckDB", "GRainDB", "GraphflowDB"),
+    systems: tuple[str, ...] = ("DuckDB", "GRainDB", "GraphflowDB"),
     selectivities: tuple[float, ...] = SELECTIVITIES,
-    runs: int = 2,
+    runs: int = RUNS,
 ) -> pd.DataFrame:
-    runners = make_runners(spark, catalog, list(systems))
-    rows = []
-    for sweep, fixed in (("MICRO-P", "p"), ("MICRO-K", "k")):
-        for sel in selectivities:
-            p_sel, k_sel = (sel, 0.999) if fixed == "p" else (0.999, sel)
-            spec = _spec(catalog, p_sel, k_sel, f"{sweep}@{sel:g}")
-            for system, runner in runners.items():
-                ms, out, _ = time_query(lambda: runner(spec), warmup=1, runs=runs)
-                rows.append({"sweep": sweep, "selectivity": sel, "system": system,
-                             "ms": round(ms, 1),
-                             "scanned": out.metrics.total_scanned})
-    return pd.DataFrame(rows)
+    df = run_suite(specs(catalog, selectivities),
+                   make_runners(spark, catalog, list(systems)), runs=runs)
+    df["sweep"] = df["query"].str.split("@").str[0]
+    df["selectivity"] = df["query"].str.split("@").str[1].astype(float)
+    return df

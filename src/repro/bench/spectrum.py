@@ -8,11 +8,10 @@ headroom a sip-aware optimizer could claim.
 """
 from __future__ import annotations
 
-import time
-
 import pandas as pd
 from pyspark.sql import SparkSession
 
+from repro.bench.harness import RUNS, time_query
 from repro.core.catalog import Catalog
 from repro.core.rewrite import DUCK, GRAIN_FULL
 from repro.exec.executor import PlanExecutor
@@ -20,31 +19,25 @@ from repro.plan.optimizer import enumerate_left_deep_orders
 from repro.plan.spec import QuerySpec
 
 
-def _time_ms(fn, runs: int = 1, warmup: int = 1) -> float:
-    for _ in range(warmup):
-        fn()
-    t0 = time.perf_counter()
-    for _ in range(runs):
-        fn()
-    return (time.perf_counter() - t0) * 1000.0 / runs
-
-
 def spectrum_for_query(
     spark: SparkSession,
     catalog: Catalog,
     spec: QuerySpec,
     max_plans: int = 12,
-    runs: int = 1,
+    runs: int = RUNS,
 ) -> pd.DataFrame:
     """Per-order timings of P_d and P_d*, plus the default-plan row."""
     ex = PlanExecutor(spark, catalog)
+
+    def ms(cfg, order=None) -> float:
+        return time_query(lambda: ex.execute(spec, mode=cfg, order=order), runs=runs)[0]
+
     rows = []
     for order in enumerate_left_deep_orders(spec, limit=max_plans):
-        ms_d = _time_ms(lambda: ex.execute(spec, mode=DUCK, order=order), runs)
-        ms_g = _time_ms(lambda: ex.execute(spec, mode=GRAIN_FULL, order=order), runs)
         rows.append({"query": spec.name, "order": "->".join(order),
-                     "duck_ms": round(ms_d, 1), "grain_ms": round(ms_g, 1)})
-    ms_def = _time_ms(lambda: ex.execute(spec, mode=GRAIN_FULL), runs)
+                     "duck_ms": round(ms(DUCK, order), 1),
+                     "grain_ms": round(ms(GRAIN_FULL, order), 1)})
+    ms_def = ms(GRAIN_FULL)
     rows.append({"query": spec.name, "order": "(default)", "duck_ms": float("nan"),
                  "grain_ms": round(ms_def, 1)})
     return pd.DataFrame(rows)
@@ -55,7 +48,7 @@ def table7(
     catalog: Catalog,
     specs: dict[str, QuerySpec],
     max_plans: int = 12,
-    runs: int = 1,
+    runs: int = RUNS,
 ) -> tuple[pd.DataFrame, pd.DataFrame]:
     """Returns (per-plan spectrum frame, Table-7 summary: P*_Duck vs P*_opt)."""
     frames = []

@@ -42,15 +42,6 @@ class SemiJoinMasks:
         zone[rids // zone_size] = True
         return cls(row=row, zone=zone, zone_size=zone_size)
 
-    @classmethod
-    def all_set(cls, n_rows: int, zone_size: int) -> "SemiJoinMasks":
-        n_zones = max(1, -(-n_rows // zone_size))
-        return cls(
-            row=np.ones(n_rows, dtype=bool),
-            zone=np.ones(n_zones, dtype=bool),
-            zone_size=zone_size,
-        )
-
     def combine(self, other: "SemiJoinMasks") -> "SemiJoinMasks":
         """Intersect with another mask pair — a scan receiving SIP from several
         SJoins performs the conjunction of the semijoins."""

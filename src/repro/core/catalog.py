@@ -11,8 +11,12 @@ This is the repo's stand-in for the storage layer the paper extends (§3):
 
 Tables are loaded as pandas (deterministic generators), RID-materialized in
 pandas (a single vectorized merge per predefinition), then ``finalize(spark)``
-turns each into a cached Spark DataFrame that all executors scan. The
-*original* (pre-RID) pandas frames are kept for the DuckDB oracle.
+turns each into a cached Spark DataFrame that all executors scan. The DuckDB
+oracle sees each table's registered columns only (``Table.pdf_original``).
+
+``classify`` is the one place that decides how an equi-join edge relates to
+the predefined joins; the rewrite, the semijoin propagation and the INLJ
+executor all branch on its answer.
 """
 from __future__ import annotations
 
@@ -47,14 +51,36 @@ class PredefinedJoin:
         return rid_col_name(self.p_table, self.fk_cols)
 
 
+@dataclass(frozen=True)
+class EdgeClass:
+    """How an equi-join edge ``a.a_cols = b.b_cols`` uses predefined joins.
+
+    - ``'fk'``: one side is F of a predefined join to the other (P). The join
+      is ``a_pj`` when a is F, ``b_pj`` when b is F; the other is None.
+    - ``'fkfk'``: both sides are FKs into the same P (e.g. ``k1.person2id =
+      k2.person1id``); ``a_pj`` and ``b_pj`` are the two predefined joins.
+    - ``'value'``: neither; both are None.
+    """
+
+    kind: str
+    a_pj: PredefinedJoin | None = None
+    b_pj: PredefinedJoin | None = None
+
+    @property
+    def f_side(self) -> str | None:
+        """'a' or 'b' for an 'fk' edge: the side holding the RID pointer."""
+        if self.kind != "fk":
+            return None
+        return "a" if self.a_pj is not None else "b"
+
+
 @dataclass
 class Table:
     """A registered base table: pandas source + (after finalize) cached Spark DF."""
 
     name: str
-    pdf: pd.DataFrame  # with _rid and materialized rid columns
-    pdf_original: pd.DataFrame  # as registered — what the oracle sees
-    zone_size: int
+    pdf: pd.DataFrame  # registered columns + _rid + materialized rid columns
+    user_columns: list[str]  # the registered columns — what the oracle sees
     rid_cols: dict[tuple[str, ...], str] = field(default_factory=dict)
     df: DataFrame | None = None
 
@@ -63,8 +89,9 @@ class Table:
         return len(self.pdf)
 
     @property
-    def user_columns(self) -> list[str]:
-        return list(self.pdf_original.columns)
+    def pdf_original(self) -> pd.DataFrame:
+        """The table as registered (without RID columns)."""
+        return self.pdf[self.user_columns]
 
 
 class Catalog:
@@ -78,10 +105,13 @@ class Catalog:
         self.indices: dict[tuple[str, tuple[str, ...]], RIDIndex] = {}
         # For extended indices, which predefined join the ext payload points to.
         self.index_ext_target: dict[tuple[str, tuple[str, ...]], PredefinedJoin] = {}
+        # Planner statistics (``repro.plan.optimizer``), cached per catalog.
+        self.card_cache: dict[tuple, dict[str, int]] = {}
+        self.distinct_cache: dict[tuple[str, tuple[str, ...]], int] = {}
         self._finalized = False
 
     # ------------------------------------------------------------------ load
-    def register(self, name: str, pdf: pd.DataFrame, zone_size: int | None = None) -> Table:
+    def register(self, name: str, pdf: pd.DataFrame) -> Table:
         """Register a base table; assigns the dense virtual RID column."""
         if self._finalized:
             raise RuntimeError("catalog already finalized")
@@ -89,14 +119,9 @@ class Catalog:
             raise ValueError(f"table {name!r} already registered")
         if RID in pdf.columns:
             raise ValueError(f"column name {RID!r} is reserved")
-        ext = pdf.reset_index(drop=True).copy()
+        ext = pdf.reset_index(drop=True)  # a copy: the caller's frame is untouched
         ext[RID] = np.arange(len(ext), dtype=np.int64)
-        t = Table(
-            name=name,
-            pdf=ext,
-            pdf_original=pdf.reset_index(drop=True),
-            zone_size=zone_size or self.zone_size,
-        )
+        t = Table(name=name, pdf=ext, user_columns=list(pdf.columns))
         self.tables[name] = t
         return t
 
@@ -170,32 +195,27 @@ class Catalog:
         fk2: list[str],
         p2_table: str,
         pk2: list[str],
-        with_indices: bool = True,
     ) -> None:
         """Convenience for relationship tables: predefine both joins and build
         forward + backward extended RID indices (like fwd/bwd adjacency lists)."""
         self.predefine_join(f_table, fk1, p1_table, pk1)
         self.predefine_join(f_table, fk2, p2_table, pk2)
-        if with_indices:
-            self.build_rid_index(f_table, fk1, extended_cols=fk2)
-            self.build_rid_index(f_table, fk2, extended_cols=fk1)
+        self.build_rid_index(f_table, fk1, extended_cols=fk2)
+        self.build_rid_index(f_table, fk2, extended_cols=fk1)
 
-    def finalize(self, cache: bool = True, partition_rows: int = 200_000) -> None:
-        """Create (and optionally cache+materialize) the Spark DataFrames.
+    def finalize(self) -> None:
+        """Create, cache and materialize the Spark DataFrames.
 
         ``createDataFrame`` from pandas yields one partition per Arrow batch
         (~8k rows), which turns every scan into ~100 tiny tasks; coalesce to
-        ~``partition_rows`` rows per partition before caching.
+        ~200k rows per partition before caching.
         """
         if self._finalized:
             return
         for t in self.tables.values():
-            n_parts = max(1, min(16, -(-t.n_rows // partition_rows)))
-            df = self.spark.createDataFrame(t.pdf).coalesce(n_parts)
-            if cache:
-                df = df.persist()
-                df.count()  # materialize so query timings exclude load
-            t.df = df
+            n_parts = max(1, min(16, -(-t.n_rows // 200_000)))
+            t.df = self.spark.createDataFrame(t.pdf).coalesce(n_parts).persist()
+            t.df.count()  # materialize so query timings exclude load
         self._finalized = True
 
     def unpersist(self) -> None:
@@ -204,28 +224,32 @@ class Catalog:
                 t.df.unpersist()
 
     # ---------------------------------------------------------------- lookup
-    def find_predefined(
+    def classify(
         self,
         a_table: str,
         a_cols: tuple[str, ...],
         b_table: str,
         b_cols: tuple[str, ...],
-    ) -> tuple[PredefinedJoin, str] | None:
-        """If the equi-join a.a_cols = b.b_cols is predefined, return the
-        PredefinedJoin and which side ('a' or 'b') is F."""
-        pj = self.predefined.get((a_table, a_cols))
-        if pj is not None and pj.p_table == b_table and pj.pk_cols == b_cols:
-            return pj, "a"
-        pj = self.predefined.get((b_table, b_cols))
-        if pj is not None and pj.p_table == a_table and pj.pk_cols == a_cols:
-            return pj, "b"
-        return None
+    ) -> EdgeClass:
+        """Classify the equi-join ``a.a_cols = b.b_cols`` (see ``EdgeClass``).
+        RID-index availability is left to the caller."""
+        pa = self.predefined.get((a_table, tuple(a_cols)))
+        pb = self.predefined.get((b_table, tuple(b_cols)))
+        if pa is not None and (pa.p_table, pa.pk_cols) == (b_table, tuple(b_cols)):
+            return EdgeClass("fk", a_pj=pa)
+        if pb is not None and (pb.p_table, pb.pk_cols) == (a_table, tuple(a_cols)):
+            return EdgeClass("fk", b_pj=pb)
+        if pa is not None and pb is not None and (
+            (pa.p_table, pa.pk_cols) == (pb.p_table, pb.pk_cols)
+        ):
+            return EdgeClass("fkfk", a_pj=pa, b_pj=pb)
+        return EdgeClass("value")
 
     def rid_index(self, f_table: str, fk_cols: tuple[str, ...]) -> RIDIndex | None:
         return self.indices.get((f_table, tuple(fk_cols)))
 
     def oracle_tables(self) -> dict[str, pd.DataFrame]:
-        """Original (pre-RID) tables, for ``repro.oracle.assert_equivalent``."""
+        """The tables as registered, for ``repro.oracle.assert_equivalent``."""
         return {name: t.pdf_original for name, t in self.tables.items()}
 
     def table(self, name: str) -> Table:

@@ -80,25 +80,25 @@ def _f_alias_unused_elsewhere(spec: QuerySpec, f_alias: str) -> bool:
 
 def _single_edge(conds, f_alias: str):
     """If the node's conditions form exactly one (multi-column) edge between
-    f_alias and one other alias, return (f_cols, other_alias, f_side)."""
+    f_alias and one other alias, return (f_cols, other_alias, other_cols)."""
     sides = set()
     f_cols: list[str] = []
-    f_side = None
+    o_cols: list[str] = []
     for (la, lc), (ra, rc) in conds:
         sides.add((la, ra))
         if la == f_alias:
             f_cols.append(lc)
-            f_side = "left"
+            o_cols.append(rc)
         elif ra == f_alias:
             f_cols.append(rc)
-            f_side = "right"
+            o_cols.append(lc)
         else:
             return None
     if len(sides) != 1:
         return None
     la, ra = sides.pop()
     other = ra if la == f_alias else la
-    return tuple(f_cols), other, f_side
+    return tuple(f_cols), other, tuple(o_cols)
 
 
 def _try_merge(node: PlanNode, spec: QuerySpec, catalog: Catalog) -> PlanNode:
@@ -130,19 +130,17 @@ def _try_merge(node: PlanNode, spec: QuerySpec, catalog: Catalog) -> PlanNode:
             e2 = _single_edge(node.conds, f_alias)
             if e1 is None or e2 is None:
                 continue
-            fk1, p1_alias, _ = e1
-            fk2, p2_alias, _ = e2
+            fk1, p1_alias, pk1 = e1
+            fk2, p2_alias, pk2 = e2
             if p1_alias not in aliases_of(p1_side) or p2_alias not in aliases_of(j2_other):
                 continue
-            pj1 = catalog.predefined.get((f_scan.table, fk1))
-            pj2 = catalog.predefined.get((f_scan.table, fk2))
-            if pj1 is None or pj2 is None:
-                continue
-            if pj1.p_table != spec.table_of(p1_alias) or pj2.p_table != spec.table_of(p2_alias):
+            c1 = catalog.classify(f_scan.table, fk1, spec.table_of(p1_alias), pk1)
+            c2 = catalog.classify(f_scan.table, fk2, spec.table_of(p2_alias), pk2)
+            if c1.f_side != "a" or c2.f_side != "a":
                 continue
             idx = catalog.rid_index(f_scan.table, fk1)
             ext_target = catalog.index_ext_target.get((f_scan.table, fk1))
-            if idx is None or idx.ext_rids is None or ext_target != pj2:
+            if idx is None or idx.ext_rids is None or ext_target != c2.a_pj:
                 continue
             # Cost gate: SJoinIdxM reads the adjacency lists of every build-side
             # P1 row; with a huge build side the merged pairs relation dwarfs
@@ -192,59 +190,35 @@ def _rewrite_joins(node: PlanNode, spec: QuerySpec, catalog: Catalog,
     for (la, ra), colpairs in groups.items():
         lcols = tuple(lc for lc, _ in colpairs)
         rcols = tuple(rc for _, rc in colpairs)
-        found = catalog.find_predefined(spec.table_of(la), lcols, spec.table_of(ra), rcols)
-        if found is None and cfg.rid_materialization:
-            # FK–FK equality: both sides are foreign keys into the same table P
-            # (e.g. k1.person2id = k2.person1id, both FKs to person). Both
-            # sides carry materialized P-RIDs, so the condition is equivalent
-            # to RID equality, and the probe side's RID index (keyed by its
-            # own FK) lets us pass the build side's P-RIDs as a semijoin.
-            pj_l = catalog.predefined.get((spec.table_of(la), lcols))
-            pj_r = catalog.predefined.get((spec.table_of(ra), rcols))
-            if (
-                pj_l is not None
-                and pj_r is not None
-                and (pj_l.p_table, pj_l.pk_cols) == (pj_r.p_table, pj_r.pk_cols)
-            ):
-                new_conds.append(((la, pj_l.rid_col), (ra, pj_r.rid_col)))
-                got_rid = True
-                b_alias, b_pj, p_alias2, p_pj = (
-                    (la, pj_l, ra, pj_r) if la in build_aliases else (ra, pj_r, la, pj_l)
-                )
-                if (
-                    cfg.reverse_semijoin  # it is an index-based reverse semijoin
-                    and p_alias2 in probe_scan_aliases
-                    and catalog.rid_index(p_pj.f_table, p_pj.fk_cols) is not None
-                ):
-                    sips.append(SipAction(
-                        kind="index", target_alias=p_alias2,
-                        source_alias=b_alias, source_col=b_pj.rid_col,
-                        index_key=(p_pj.f_table, p_pj.fk_cols),
-                    ))
-                continue
-        if found is None or not cfg.rid_materialization:
+        e = catalog.classify(spec.table_of(la), lcols, spec.table_of(ra), rcols)
+        if e.kind == "value" or not cfg.rid_materialization:
             new_conds += [((la, lc), (ra, rc)) for lc, rc in colpairs]
             continue
-        pj, f_side = found
-        f_alias, p_alias = (la, ra) if f_side == "a" else (ra, la)
-        # Rewritten condition: F.RID(P) = P._rid, oriented left/right.
-        if f_alias == la:
-            new_conds.append(((la, pj.rid_col), (ra, RID)))
-        else:
-            new_conds.append(((la, RID), (ra, pj.rid_col)))
         got_rid = True
-        if f_alias in build_aliases and p_alias in probe_scan_aliases:
-            sips.append(SipAction(kind="direct", target_alias=p_alias,
-                                  source_alias=f_alias, source_col=pj.rid_col))
+        # Rewritten condition: RID equality. An F side contributes its
+        # materialized pointer (F.RID(P)), a P side its own _rid.
+        new_conds.append(((la, e.a_pj.rid_col if e.a_pj else RID),
+                          (ra, e.b_pj.rid_col if e.b_pj else RID)))
+        src, tgt, src_pj, tgt_pj = (
+            (la, ra, e.a_pj, e.b_pj) if la in build_aliases else (ra, la, e.b_pj, e.a_pj)
+        )
+        if tgt not in probe_scan_aliases:
+            continue
+        if tgt_pj is None:
+            # Case 1: F on the build side passes its pointers to ScanSJ(P).
+            sips.append(SipAction(kind="direct", target_alias=tgt,
+                                  source_alias=src, source_col=src_pj.rid_col))
         elif (
             cfg.reverse_semijoin
-            and p_alias in build_aliases
-            and f_alias in probe_scan_aliases
-            and catalog.rid_index(pj.f_table, pj.fk_cols) is not None
+            and catalog.rid_index(tgt_pj.f_table, tgt_pj.fk_cols) is not None
         ):
-            sips.append(SipAction(kind="index", target_alias=f_alias,
-                                  source_alias=p_alias, source_col=RID,
-                                  index_key=(pj.f_table, pj.fk_cols)))
+            # SJoinIdxR: the probe-side F's RID index maps the build side's
+            # P-RIDs (P's own _rid, or on an FK–FK edge the build side's
+            # pointer into the shared P) to the F rows that join them.
+            sips.append(SipAction(kind="index", target_alias=tgt,
+                                  source_alias=src,
+                                  source_col=src_pj.rid_col if src_pj else RID,
+                                  index_key=(tgt_pj.f_table, tgt_pj.fk_cols)))
     node.conds = new_conds
     node.sips = sips
     if any(s.kind == "index" for s in sips):

@@ -61,27 +61,6 @@ class RIDIndex:
             ext_sorted = ext_np.astype(np.int64)[order]
         return cls(offsets=offsets, f_rids=f_sorted, ext_rids=ext_sorted)
 
-    @property
-    def n_keys(self) -> int:
-        return int(self.offsets.shape[0] - 1)
-
-    @property
-    def n_entries(self) -> int:
-        return int(self.f_rids.shape[0])
-
-    def nbytes(self) -> int:
-        n = self.offsets.nbytes + self.f_rids.nbytes
-        if self.ext_rids is not None:
-            n += self.ext_rids.nbytes
-        return n
-
-    def degree(self, p_rid: int) -> int:
-        return int(self.offsets[p_rid + 1] - self.offsets[p_rid])
-
-    def lookup(self, p_rid: int) -> np.ndarray:
-        """F-RIDs joining one P row (the adjacency list of ``p_rid``)."""
-        return self.f_rids[self.offsets[p_rid] : self.offsets[p_rid + 1]]
-
     def _gather_idx(self, p_rids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Ragged-gather positions for a batch of keys.
 

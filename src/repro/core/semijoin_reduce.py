@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.catalog import RID, Catalog
+from repro.core.catalog import Catalog
 from repro.plan.spec import QuerySpec
 
 
@@ -43,59 +43,35 @@ def _edge_maps(spec: QuerySpec, catalog: Catalog, aliases: set[str], allow_rever
             (e.right_alias, e.right_cols, e.left_alias, e.left_cols),
         ):
             # Derive xa's set FROM ya's set.
-            found = catalog.find_predefined(
-                spec.table_of(xa), tuple(xc), spec.table_of(ya), tuple(yc)
-            )
-            if found is not None:
-                pj, f_side = found
-                if f_side == "a":
-                    # xa is F: F-set from P-set through the RID index (reverse).
-                    idx = catalog.rid_index(pj.f_table, pj.fk_cols)
-                    if idx is not None and allow_reverse:
-                        maps.append((ya, xa, _via_index(idx)))
-                else:
-                    # xa is P: P-set from F-set through F's materialized column.
-                    col = catalog.table(spec.table_of(ya)).pdf[pj.rid_col]
-                    maps.append((ya, xa, _via_column(col.to_numpy(dtype="float64",
-                                                                  na_value=np.nan))))
-                continue
-            pj_x = catalog.predefined.get((spec.table_of(xa), tuple(xc)))
-            pj_y = catalog.predefined.get((spec.table_of(ya), tuple(yc)))
-            if (
-                pj_x is not None
-                and pj_y is not None
-                and (pj_x.p_table, pj_x.pk_cols) == (pj_y.p_table, pj_y.pk_cols)
-            ):
-                # FK–FK: ya's pointer column gives shared P-RIDs; xa's index
-                # (reverse step) maps them to xa rows.
-                idx = catalog.rid_index(pj_x.f_table, pj_x.fk_cols)
-                if idx is not None and allow_reverse:
-                    col = catalog.table(spec.table_of(ya)).pdf[pj_y.rid_col]
-                    maps.append((ya, xa, _via_column_then_index(
-                        col.to_numpy(dtype="float64", na_value=np.nan), idx)))
+            c = catalog.classify(spec.table_of(xa), xc, spec.table_of(ya), yc)
+            if c.a_pj is not None:
+                # xa is F: a reverse step through xa's RID index.
+                idx = catalog.rid_index(c.a_pj.f_table, c.a_pj.fk_cols)
+                if idx is None or not allow_reverse:
+                    continue
+            elif c.b_pj is not None:
+                idx = None  # xa is P: forward through ya's pointer column
+            else:
+                continue  # value join: nothing to propagate
+            # ya's pointer column: into xa ('fk'), or into the shared P ('fkfk').
+            col = None
+            if c.b_pj is not None:
+                col = catalog.table(spec.table_of(ya)).pdf[c.b_pj.rid_col].to_numpy(
+                    dtype="float64", na_value=np.nan)
+            maps.append((ya, xa, _via(col, idx)))
     return maps
 
 
-def _via_index(idx):
+def _via(col: np.ndarray | None, idx):
+    """Follow ``col`` (a pointer column of the source) to P-RIDs, then map
+    them through ``idx`` (an RID index) to F-RIDs; either step may be absent."""
     def fn(rids: np.ndarray) -> np.ndarray:
-        return np.unique(idx.lookup_many(rids))
-
-    return fn
-
-
-def _via_column(col: np.ndarray):
-    def fn(rids: np.ndarray) -> np.ndarray:
-        vals = col[rids]
-        return np.unique(vals[~np.isnan(vals)]).astype(np.int64)
-
-    return fn
-
-
-def _via_column_then_index(col: np.ndarray, idx):
-    def fn(rids: np.ndarray) -> np.ndarray:
-        vals = col[rids]
-        p = np.unique(vals[~np.isnan(vals)]).astype(np.int64)
-        return np.unique(idx.lookup_many(p))
+        if col is not None:
+            vals = col[rids]
+            rids = np.unique(vals[~np.isnan(vals)]).astype(np.int64)
+        if idx is not None:
+            rids = np.unique(idx.lookup_many(rids))
+        return rids
 
     return fn
 
@@ -105,20 +81,18 @@ def propagate(
     spec: QuerySpec,
     catalog: Catalog,
     allow_reverse: bool = True,
-    max_rounds: int | None = None,
 ) -> dict[str, np.ndarray | None]:
     """Fixpoint semijoin propagation over the aliases in ``init``.
 
     ``init[a]`` is the exact RID set of alias ``a``'s scan after its pushed
     filters, or None for "all rows". Returns tightened sets (None where no
     information reached an alias). Monotone: sets only shrink, so the loop
-    terminates; ``max_rounds`` defaults to #aliases (enough for any tree).
+    terminates; #aliases rounds are enough for any tree.
     """
     aliases = set(init)
     maps = _edge_maps(spec, catalog, aliases, allow_reverse)
     sets = dict(init)
-    rounds = max_rounds if max_rounds is not None else max(2, len(aliases))
-    for _ in range(rounds):
+    for _ in range(max(2, len(aliases))):
         changed = False
         for src, dst, fn in maps:
             s = sets[src]

@@ -149,7 +149,6 @@ def imdb_catalog(
     scale: float = 0.1,
     seed: int = 11,
     zone_size: int = 1024,
-    with_indices: bool = True,
 ) -> Catalog:
     """Predefine every PK-FK join (as the paper does for JOB) and build RID
     indices on the many-to-many relationship tables."""
@@ -158,28 +157,26 @@ def imdb_catalog(
         cat.register(nm, pdf)
     cat.predefine_relationship(
         "movie_companies", ["movie_id"], "title", ["id"], ["company_id"],
-        "company_name", ["id"], with_indices=with_indices,
+        "company_name", ["id"]
     )
     cat.predefine_relationship(
         "movie_keyword", ["movie_id"], "title", ["id"], ["keyword_id"],
-        "keyword", ["id"], with_indices=with_indices,
+        "keyword", ["id"]
     )
     cat.predefine_relationship(
-        "cast_info", ["movie_id"], "title", ["id"], ["person_id"], "name", ["id"],
-        with_indices=with_indices,
+        "cast_info", ["movie_id"], "title", ["id"], ["person_id"], "name", ["id"]
     )
     cat.predefine_relationship(
         "movie_info", ["movie_id"], "title", ["id"], ["info_type_id"],
-        "info_type", ["id"], with_indices=with_indices,
+        "info_type", ["id"]
     )
     cat.predefine_relationship(
         "movie_info_idx", ["movie_id"], "title", ["id"], ["info_type_id"],
-        "info_type", ["id"], with_indices=with_indices,
+        "info_type", ["id"]
     )
     cat.predefine_join("movie_companies", ["company_type_id"], "company_type", ["id"])
     cat.predefine_join("title", ["kind_id"], "kind_type", ["id"])
-    if with_indices:
-        cat.build_rid_index("movie_companies", ["company_type_id"])
-        cat.build_rid_index("title", ["kind_id"])
+    cat.build_rid_index("movie_companies", ["company_type_id"])
+    cat.build_rid_index("title", ["kind_id"])
     cat.finalize()
     return cat

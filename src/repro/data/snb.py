@@ -189,7 +189,6 @@ def snb_catalog(
     scale: float = 0.1,
     seed: int = 7,
     zone_size: int = 512,
-    with_indices: bool = True,
 ) -> Catalog:
     """Register SNB-lite, predefine every FK join, and (like the paper: 'for
     every edge type ... we build a RID index') build forward+backward extended
@@ -200,23 +199,22 @@ def snb_catalog(
 
     cat.predefine_relationship(
         "knows", ["person1id"], "person", ["personid"], ["person2id"], "person",
-        ["personid"], with_indices=with_indices,
+        ["personid"]
     )
     cat.predefine_relationship(
         "forum_person", ["forumid"], "forum", ["forumid"], ["personid"], "person",
-        ["personid"], with_indices=with_indices,
+        ["personid"]
     )
     cat.predefine_relationship(
-        "post_tag", ["messageid"], "post", ["id"], ["tagid"], "tag", ["tagid"],
-        with_indices=with_indices,
+        "post_tag", ["messageid"], "post", ["id"], ["tagid"], "tag", ["tagid"]
     )
     cat.predefine_relationship(
         "likes_comment", ["personid"], "person", ["personid"], ["messageid"],
-        "comment", ["id"], with_indices=with_indices,
+        "comment", ["id"]
     )
     cat.predefine_relationship(
         "person_company", ["personid"], "person", ["personid"], ["organisationid"],
-        "organisation", ["organisationid"], with_indices=with_indices,
+        "organisation", ["organisationid"]
     )
     # Messages: comments/posts are edges in the graph view (creator, reply-of).
     cat.predefine_join("comment", ["creatorid"], "person", ["personid"])
@@ -232,18 +230,17 @@ def snb_catalog(
     cat.predefine_join("organisation", ["placeid"], "place", ["placeid"])
     cat.predefine_join("tag", ["tagclassid"], "tagclass", ["tagclassid"])
     cat.predefine_join("tagclass", ["subclassoftagclassid"], "tagclass", ["tagclassid"])
-    if with_indices:
-        cat.build_rid_index("comment", ["creatorid"], extended_cols=["replyof_post"])
-        cat.build_rid_index("comment", ["replyof_post"], extended_cols=["creatorid"])
-        cat.build_rid_index("comment", ["replyof_comment"], extended_cols=["creatorid"])
-        cat.build_rid_index("comment", ["locationid"])
-        cat.build_rid_index("post", ["creatorid"], extended_cols=["forumid"])
-        cat.build_rid_index("post", ["forumid"], extended_cols=["creatorid"])
-        cat.build_rid_index("post", ["locationid"])
-        cat.build_rid_index("person", ["placeid"])
-        cat.build_rid_index("forum", ["moderatorid"])
-        cat.build_rid_index("organisation", ["placeid"])
-        cat.build_rid_index("tag", ["tagclassid"])
-        cat.build_rid_index("tagclass", ["subclassoftagclassid"])
+    cat.build_rid_index("comment", ["creatorid"], extended_cols=["replyof_post"])
+    cat.build_rid_index("comment", ["replyof_post"], extended_cols=["creatorid"])
+    cat.build_rid_index("comment", ["replyof_comment"], extended_cols=["creatorid"])
+    cat.build_rid_index("comment", ["locationid"])
+    cat.build_rid_index("post", ["creatorid"], extended_cols=["forumid"])
+    cat.build_rid_index("post", ["forumid"], extended_cols=["creatorid"])
+    cat.build_rid_index("post", ["locationid"])
+    cat.build_rid_index("person", ["placeid"])
+    cat.build_rid_index("forum", ["moderatorid"])
+    cat.build_rid_index("organisation", ["placeid"])
+    cat.build_rid_index("tag", ["tagclassid"])
+    cat.build_rid_index("tagclass", ["subclassoftagclassid"])
     cat.finalize()
     return cat

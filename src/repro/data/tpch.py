@@ -1,11 +1,8 @@
-"""TPC-H-lite: extends the provided ``repro.synth_data`` schema for TPC-H.
+"""TPC-H-lite: the 8-table TPC-H schema at a scale factor, in pandas.
 
-``synth_data`` ships lineitem/orders/customer/part at a scale factor; the 22
-TPC-H queries additionally need supplier/nation/region/partsupp and a handful
-of extra columns (l_suppkey, ship/commit/receipt dates, shipmode, containers,
-phone prefixes, …). This module generates the full 8-table schema in pandas,
-reusing synth_data's row-count constants and value distributions so SF means
-the same thing, and adding only what the queries reference.
+Row counts per SF follow TPC-H (SF=1 is about 1 GB); only the columns the 22
+queries reference are generated (l_suppkey, ship/commit/receipt dates,
+shipmode, containers, phone prefixes, …).
 """
 from __future__ import annotations
 
@@ -14,13 +11,11 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.catalog import Catalog
-from repro.synth_data import (
-    _N_CUSTOMER_PER_SF,
-    _N_LINEITEM_PER_SF,
-    _N_ORDERS_PER_SF,
-    _N_PART_PER_SF,
-)
 
+_N_LINEITEM_PER_SF = 6_000_000
+_N_ORDERS_PER_SF = 1_500_000
+_N_CUSTOMER_PER_SF = 150_000
+_N_PART_PER_SF = 200_000
 _N_SUPPLIER_PER_SF = 10_000
 _NATIONS = [
     "ALGERIA", "ARGENTINA", "BRAZIL", "CANADA", "EGYPT", "ETHIOPIA", "FRANCE",
@@ -145,7 +140,6 @@ def tpch_catalog(
     sf: float = 0.01,
     seed: int = 21,
     zone_size: int = 2048,
-    with_indices: bool = True,
 ) -> Catalog:
     """Predefine every one-to-many PK-FK relationship (the paper's TPC-H setup)
     and build RID indices on the tables that act as many-to-many connectors
@@ -162,15 +156,14 @@ def tpch_catalog(
     cat.predefine_join("nation", ["n_regionkey"], "region", ["r_regionkey"])
     cat.predefine_join("partsupp", ["ps_partkey"], "part", ["p_partkey"])
     cat.predefine_join("partsupp", ["ps_suppkey"], "supplier", ["s_suppkey"])
-    if with_indices:
-        cat.build_rid_index("lineitem", ["l_orderkey"], extended_cols=["l_partkey"])
-        cat.build_rid_index("lineitem", ["l_partkey"], extended_cols=["l_orderkey"])
-        cat.build_rid_index("lineitem", ["l_suppkey"])
-        cat.build_rid_index("orders", ["o_custkey"])
-        cat.build_rid_index("partsupp", ["ps_partkey"], extended_cols=["ps_suppkey"])
-        cat.build_rid_index("partsupp", ["ps_suppkey"], extended_cols=["ps_partkey"])
-        cat.build_rid_index("customer", ["c_nationkey"])
-        cat.build_rid_index("supplier", ["s_nationkey"])
-        cat.build_rid_index("nation", ["n_regionkey"])
+    cat.build_rid_index("lineitem", ["l_orderkey"], extended_cols=["l_partkey"])
+    cat.build_rid_index("lineitem", ["l_partkey"], extended_cols=["l_orderkey"])
+    cat.build_rid_index("lineitem", ["l_suppkey"])
+    cat.build_rid_index("orders", ["o_custkey"])
+    cat.build_rid_index("partsupp", ["ps_partkey"], extended_cols=["ps_suppkey"])
+    cat.build_rid_index("partsupp", ["ps_suppkey"], extended_cols=["ps_partkey"])
+    cat.build_rid_index("customer", ["c_nationkey"])
+    cat.build_rid_index("supplier", ["s_nationkey"])
+    cat.build_rid_index("nation", ["n_regionkey"])
     cat.finalize()
     return cat

@@ -72,7 +72,6 @@ class _Ctx:
     def __init__(self, cfg: GrainConfig) -> None:
         self.cfg = cfg
         self.masks: dict[str, SemiJoinMasks] = {}
-        self.persisted: list[DataFrame] = []
         self.metrics = ExecMetrics()
 
 
@@ -81,15 +80,7 @@ def _plan_needed(spec: QuerySpec, plan: PlanNode) -> dict[str, set[str]]:
     plus the RID columns the physical plan introduces (join conds, SIP sources
     and targets, merge-join endpoints). Original join-key columns that were
     rewritten away are *not* scanned — the paper's Scan(F) modification."""
-    from repro.plan.spec import cols_of
-
-    need: dict[str, set[str]] = {a: set() for a in spec.aliases}
-    # Select/filter references only; join keys come from the physical plan so
-    # a value key rewritten to RID equality is no longer scanned.
-    exprs = [e for e, _ in spec.select] + list(spec.filters)
-    for e in exprs:
-        for a in spec.aliases:
-            need[a] |= cols_of(e, a)
+    need = spec.referenced_columns()
 
     def walk(node: PlanNode) -> None:
         if isinstance(node, ScanNode):
@@ -153,14 +144,8 @@ class PlanExecutor:
                      cfg: GrainConfig = GRAIN_FULL, collect: bool = True) -> ExecOutcome:
         ctx = _Ctx(cfg)
         ctx.metrics.plan = describe(plan)
-        needed = _plan_needed(spec, plan)
-        try:
-            df = self._run(plan, spec, needed, ctx)
-            df = finish(df, spec)
-            result = df.toPandas() if collect else None
-        finally:
-            for p in ctx.persisted:
-                p.unpersist()
+        df = finish(self._run(plan, spec, _plan_needed(spec, plan), ctx), spec)
+        result = df.toPandas() if collect else None
         return ExecOutcome(result=result, metrics=ctx.metrics, df=None if collect else df)
 
     # ----------------------------------------------------------- node logic
@@ -189,8 +174,7 @@ class PlanExecutor:
         ctx.metrics.table_rows[node.alias] = t.n_rows
         return df
 
-    def _driver_scan_rids(self, node: ScanNode, col: str, spec: QuerySpec,
-                          ctx: _Ctx) -> np.ndarray:
+    def _driver_scan_rids(self, node: ScanNode, ctx: _Ctx) -> np.ndarray:
         """RIDs a bare (possibly filtered) scan would feed a hash-join build.
 
         A hash join's build phase fully reads its input before the probe side
@@ -211,14 +195,14 @@ class PlanExecutor:
                 where = " WHERE " + " AND ".join(
                     f"({dealias(f, node.alias)})" for f in node.filters
                 )
-            pdf = con.execute(f'SELECT "{RID}", "{col}" FROM t{where}').fetchdf()
+            rids = con.execute(f'SELECT "{RID}" FROM t{where}').fetchdf()[RID]
         finally:
             con.close()
+        rids = rids.to_numpy(dtype=np.int64)
         masks = ctx.masks.get(node.alias)
         if masks is not None:
-            pdf = pdf[masks.row[pdf[RID].to_numpy(dtype=np.int64)]]
-        vals = pdf[col].dropna()
-        return np.unique(vals.to_numpy(dtype=np.int64))
+            rids = rids[masks.row[rids]]
+        return np.unique(rids)
 
     def _subtree_sets(self, subtree: PlanNode, spec: QuerySpec,
                       ctx: _Ctx) -> dict[str, np.ndarray | None]:
@@ -231,7 +215,7 @@ class PlanExecutor:
         init: dict[str, np.ndarray | None] = {}
         for scan in scans_of(subtree):
             if scan.filters or ctx.masks.get(scan.alias) is not None:
-                init[scan.alias] = self._driver_scan_rids(scan, RID, spec, ctx)
+                init[scan.alias] = self._driver_scan_rids(scan, ctx)
             else:
                 init[scan.alias] = None
         for j in joins_of(subtree):
@@ -240,9 +224,15 @@ class PlanExecutor:
         return propagate(init, spec, self.catalog,
                          allow_reverse=ctx.cfg.reverse_semijoin)
 
-    def _register_sip(self, sip: SipAction, build_node: PlanNode,
-                      sets: dict[str, np.ndarray | None], spec: QuerySpec,
-                      ctx: _Ctx) -> None:
+    def _pass_rids(self, rids: np.ndarray, alias: str, spec: QuerySpec, ctx: _Ctx) -> None:
+        """Hand a RID set to ``alias``'s ScanSJ, intersected with any earlier one."""
+        n_rows = self.catalog.table(spec.table_of(alias)).n_rows
+        masks = SemiJoinMasks.from_rids(rids, n_rows, self.catalog.zone_size)
+        prev = ctx.masks.get(alias)
+        ctx.masks[alias] = masks if prev is None else prev.combine(masks)
+
+    def _register_sip(self, sip: SipAction, sets: dict[str, np.ndarray | None],
+                      spec: QuerySpec, ctx: _Ctx) -> None:
         src_set = sets.get(sip.source_alias)
         if sip.source_col == RID:
             rids = src_set
@@ -254,13 +244,10 @@ class PlanExecutor:
             rids = np.unique(vals[~np.isnan(vals)]).astype(np.int64)
         if rids is None:
             return  # no information to pass
-        target_table = self.catalog.table(spec.table_of(sip.target_alias))
         if sip.kind == "index":
             idx = self.catalog.rid_index(*sip.index_key)
             rids = np.unique(idx.lookup_many(rids))
-        masks = SemiJoinMasks.from_rids(rids, target_table.n_rows, target_table.zone_size)
-        prev = ctx.masks.get(sip.target_alias)
-        ctx.masks[sip.target_alias] = masks if prev is None else prev.combine(masks)
+        self._pass_rids(rids, sip.target_alias, spec, ctx)
 
     def _run(self, node: PlanNode, spec: QuerySpec, needed: dict[str, set[str]],
              ctx: _Ctx) -> DataFrame:
@@ -275,7 +262,7 @@ class PlanExecutor:
         if node.sips:
             sets = self._subtree_sets(build_child, spec, ctx)
             for s in node.sips:
-                self._register_sip(s, build_child, sets, spec, ctx)
+                self._register_sip(s, sets, spec, ctx)
         df_probe = self._run(probe_child, spec, needed, ctx)
         df_l, df_r = (
             (df_build, df_probe) if node.build == "left" else (df_probe, df_build)
@@ -299,10 +286,7 @@ class PlanExecutor:
         idx = self.catalog.rid_index(*node.index_key)
         src, _f, dst = idx.pairs(p1_rids)
         pairs = pd.DataFrame({"__m_p1": src, "__m_p2": dst})
-        p2_table = self.catalog.table(spec.table_of(node.p2_alias))
-        masks = SemiJoinMasks.from_rids(np.unique(dst), p2_table.n_rows, p2_table.zone_size)
-        prev = ctx.masks.get(node.p2_alias)
-        ctx.masks[node.p2_alias] = masks if prev is None else prev.combine(masks)
+        self._pass_rids(np.unique(dst), node.p2_alias, spec, ctx)
         # The relationship table is never scanned — record it explicitly.
         ctx.metrics.scanned[node.f_alias] = 0
         ctx.metrics.table_rows[node.f_alias] = self.catalog.table(node.f_table).n_rows

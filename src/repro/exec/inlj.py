@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.types import LongType, StructField, StructType
@@ -34,7 +33,7 @@ from repro.core.catalog import RID, Catalog
 from repro.core.rid_index import RIDIndex
 from repro.exec.executor import ExecMetrics, ExecOutcome, finish
 from repro.plan.optimizer import filtered_cardinalities
-from repro.plan.spec import JoinEdge, QuerySpec, aliases_in, cols_of, qualify
+from repro.plan.spec import JoinEdge, QuerySpec, qualify
 
 
 @dataclass
@@ -79,54 +78,16 @@ def _derive_order(spec: QuerySpec, catalog: Catalog) -> list[_Bind]:
             ):
                 if x in bound or b not in bound:
                     continue
-                found = catalog.find_predefined(
-                    spec.table_of(x), xc, spec.table_of(b), bc
-                )
-                if found is not None:
-                    pj, f_side = found
-                    if f_side == "a" and catalog.rid_index(pj.f_table, pj.fk_cols):
-                        # x is F with an adjacency index keyed by b: EXTEND.
-                        deg = catalog.table(pj.f_table).n_rows / max(
-                            1, catalog.table(pj.p_table).n_rows
-                        )
-                        dst, extra = _find_dst(spec, catalog, x, xc, bound, consumed, edge_id)
-                        candidates.append(
-                            (
-                                1.0 + deg,
-                                x,
-                                _Bind(
-                                    alias=x, kind="extend", via=b,
-                                    index_key=(pj.f_table, pj.fk_cols), dst=dst,
-                                    consumed=tuple([e] + extra),
-                                ),
-                            )
-                        )
-                        continue
-                    if f_side == "b":
-                        # b carries a materialized pointer to x: follow it.
-                        candidates.append(
-                            (
-                                0.5,
-                                x,
-                                _Bind(alias=x, kind="lookup", via=b,
-                                      rid_col=pj.rid_col, consumed=(e,)),
-                            )
-                        )
-                        continue
-                # FK–FK edge (both sides FKs to the same entity, e.g.
-                # k1.person2id = k2.person1id): the bound side's materialized
-                # RID is the shared node ID — EXTEND through x's adjacency
-                # index keyed on that node, exactly a GDBMS multi-hop.
-                pj_x = catalog.predefined.get((spec.table_of(x), tuple(xc)))
-                pj_b = catalog.predefined.get((spec.table_of(b), tuple(bc)))
-                if (
-                    pj_x is not None
-                    and pj_b is not None
-                    and (pj_x.p_table, pj_x.pk_cols) == (pj_b.p_table, pj_b.pk_cols)
-                    and catalog.rid_index(pj_x.f_table, pj_x.fk_cols) is not None
-                ):
-                    deg = catalog.table(pj_x.f_table).n_rows / max(
-                        1, catalog.table(pj_x.p_table).n_rows
+                c = catalog.classify(spec.table_of(x), xc, spec.table_of(b), bc)
+                if (c.a_pj is not None
+                        and catalog.rid_index(c.a_pj.f_table, c.a_pj.fk_cols) is not None):
+                    # x is F with an adjacency index keyed by its P: EXTEND.
+                    # On an FK–FK edge (e.g. k1.person2id = k2.person1id) the
+                    # key is the shared node ID held in b's pointer column —
+                    # exactly a GDBMS multi-hop.
+                    pj = c.a_pj
+                    deg = catalog.table(pj.f_table).n_rows / max(
+                        1, catalog.table(pj.p_table).n_rows
                     )
                     dst, extra = _find_dst(spec, catalog, x, xc, bound, consumed, edge_id)
                     candidates.append(
@@ -134,15 +95,26 @@ def _derive_order(spec: QuerySpec, catalog: Catalog) -> list[_Bind]:
                             1.0 + deg,
                             x,
                             _Bind(alias=x, kind="extend", via=b,
-                                  index_key=(pj_x.f_table, pj_x.fk_cols), dst=dst,
-                                  rid_col=pj_b.rid_col, consumed=tuple([e] + extra)),
+                                  index_key=(pj.f_table, pj.fk_cols), dst=dst,
+                                  rid_col=c.b_pj.rid_col if c.b_pj else None,
+                                  consumed=tuple([e] + extra)),
                         )
                     )
-                    continue
-                candidates.append(
-                    (1e12 + cards[x], x, _Bind(alias=x, kind="value", via=b,
-                                               edge=e, consumed=(e,)))
-                )
+                elif c.f_side == "b":
+                    # b carries a materialized pointer to x: follow it.
+                    candidates.append(
+                        (
+                            0.5,
+                            x,
+                            _Bind(alias=x, kind="lookup", via=b,
+                                  rid_col=c.b_pj.rid_col, consumed=(e,)),
+                        )
+                    )
+                else:
+                    candidates.append(
+                        (1e12 + cards[x], x, _Bind(alias=x, kind="value", via=b,
+                                                   edge=e, consumed=(e,)))
+                    )
         if not candidates:
             raise ValueError(f"cannot derive a graph plan for {spec.name}")
         if forced:
@@ -175,7 +147,8 @@ def _find_dst(spec, catalog, f_alias, fk_cols, bound, consumed, edge_id):
         ):
             if x != f_alias or b in bound:
                 continue
-            if tuple(xc) == ext_pj.fk_cols and spec.table_of(b) == ext_pj.p_table:
+            c = catalog.classify(spec.table_of(x), xc, spec.table_of(b), bc)
+            if c.f_side == "a" and c.a_pj == ext_pj:
                 return b, [e2]
     return None, []
 
@@ -207,18 +180,13 @@ def _extend_df(
         for pdf in batches:
             src = pdf[src_col].to_numpy(dtype=np.int64) if len(pdf) else np.empty(0, np.int64)
             rep, f_rids, ext = index.extend(src)
-            for lo in range(0, len(rep), out_chunk) if len(rep) else ():
+            # An empty batch still yields one (empty) frame.
+            for lo in range(0, max(1, len(rep)), out_chunk):
                 hi = lo + out_chunk
                 out = pdf.iloc[rep[lo:hi]].copy()
                 out[f_col] = f_rids[lo:hi]
                 if dst_col:
                     out[dst_col] = ext[lo:hi]
-                yield out
-            if len(rep) == 0:
-                out = pdf.iloc[rep].copy()
-                out[f_col] = f_rids
-                if dst_col:
-                    out[dst_col] = ext
                 yield out
 
     return df.mapInPandas(gen, schema)
@@ -232,36 +200,26 @@ class GraphExecutor:
         self.catalog = catalog
 
     def _props_needed(self, spec: QuerySpec, binds: list[_Bind]) -> dict[str, set[str]]:
-        need: dict[str, set[str]] = {a: set() for a in spec.aliases}
-        exprs = [e for e, _ in spec.select] + list(spec.filters)
-        for e in exprs:
-            for a in spec.aliases:
-                need[a] |= cols_of(e, a)
-        consumed = {id_ for b in binds for id_ in (spec.joins.index(e) for e in b.consumed)}
-        for i, e in enumerate(spec.joins):
-            if i not in consumed:  # enforced as a post-hoc filter — needs both sides
-                need[e.left_alias] |= set(e.left_cols)
-                need[e.right_alias] |= set(e.right_cols)
+        need = spec.referenced_columns()
+        consumed = {spec.joins.index(e) for b in binds for e in b.consumed}
+        # Edges joined on raw keys read both sides' key columns: those left
+        # to post-hoc filters, and the value-join fallbacks.
+        keyed = [e for i, e in enumerate(spec.joins) if i not in consumed]
+        for e in keyed + [b.edge for b in binds if b.kind == "value"]:
+            need[e.left_alias] |= set(e.left_cols)
+            need[e.right_alias] |= set(e.right_cols)
         for b in binds:
             if b.rid_col is not None:  # lookup / FK–FK extend read via's pointer col
                 need[b.via].add(b.rid_col)
-            if b.kind == "value":
-                need[b.alias] |= set(
-                    b.edge.left_cols if b.edge.left_alias == b.alias else b.edge.right_cols
-                )
-                need[b.via] |= set(
-                    b.edge.left_cols if b.edge.left_alias == b.via else b.edge.right_cols
-                )
         return need
 
-    def _scan(self, spec: QuerySpec, alias: str, cols: set[str], metrics: ExecMetrics,
-              with_filters: bool = True) -> DataFrame:
+    def _scan(self, spec: QuerySpec, alias: str, cols: set[str],
+              metrics: ExecMetrics) -> DataFrame:
         t = self.catalog.table(spec.table_of(alias))
         use = sorted(cols | {RID})
         df = t.df.select([F.col(c).alias(f"{alias}__{c}") for c in use])
-        if with_filters:
-            for f in spec.scan_filters(alias):
-                df = df.filter(F.expr(qualify(f, spec.aliases)))
+        for f in spec.scan_filters(alias):
+            df = df.filter(F.expr(qualify(f, spec.aliases)))
         metrics.scanned[alias] = t.n_rows  # no SIP: GDBMS scans/reads it all
         metrics.table_rows[alias] = t.n_rows
         return df
@@ -272,12 +230,10 @@ class GraphExecutor:
             f"{b.kind}({b.alias}{'+' + b.dst if b.dst else ''})" for b in binds
         ))
         props = self._props_needed(spec, binds)
-        read: set[str] = set()
         df: DataFrame | None = None
 
         def prop_read(cur: DataFrame, alias: str) -> DataFrame:
             scan = self._scan(spec, alias, props[alias], metrics)
-            read.add(alias)
             return cur.join(
                 scan, F.col(f"__rid_{alias}") == F.col(f"{alias}__{RID}"), "inner"
             )
@@ -286,7 +242,6 @@ class GraphExecutor:
             if b.kind == "scan":
                 df = self._scan(spec, b.alias, props[b.alias], metrics)
                 df = df.withColumn(f"__rid_{b.alias}", F.col(f"{b.alias}__{RID}"))
-                read.add(b.alias)
             elif b.kind == "extend":
                 idx = self.catalog.rid_index(*b.index_key)
                 if b.rid_col is not None:  # FK–FK hop: key on via's pointer col
@@ -318,7 +273,6 @@ class GraphExecutor:
                     cond = c if cond is None else cond & c
                 df = df.join(scan, cond, "inner")
                 df = df.withColumn(f"__rid_{b.alias}", F.col(f"{b.alias}__{RID}"))
-                read.add(b.alias)
 
         # Enforce any spec edges not consumed by the traversal.
         consumed = {spec.joins.index(e) for b in binds for e in b.consumed}

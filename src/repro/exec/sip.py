@@ -2,17 +2,17 @@
 
 The information passed sideways is the exact set of probe-side RIDs seen on
 the build side (dense integers — no hashing, no false positives, unlike
-Bloom-filter SIP). The semijoin is executed entirely inside Catalyst so it
-behaves like the paper's selection-vector scan rather than a shuffle join:
+Bloom-filter SIP). The semijoin is a narrow filter on the scan, like the
+paper's selection-vector scan rather than a shuffle join:
 
 - small RID sets become an ``IN <set>`` predicate on the scan (Catalyst
-  compiles this to a hash-set probe per row);
-- larger sets become a broadcast left-semi hash join against a single-column
-  RID table (the broadcast IS the passed bitmask; no shuffle of the scanned
-  table);
-- near-useless masks (keeping almost the whole table) are not applied at all —
-  the equality join enforces the same predicate anyway, so skipping preserves
-  correctness and mirrors the paper's "minor overheads only" behaviour.
+  compiles it to an ``InSet`` hash-set probe per row);
+- larger sets are broadcast as a packed row bitmap and applied per Arrow batch
+  inside ``mapInPandas`` (no extra stage, no shuffle of the scanned table);
+- masks that prune too few rows to pay for that pass are not applied at all
+  (``should_apply``) — the RID equi-join enforces the same predicate anyway,
+  so skipping preserves correctness and mirrors the paper's "minor overheads
+  only" behaviour.
 
 Zone-skipping is accounted in ``SemiJoinMasks.rows_in_active_zones`` (the
 scanned-tuple metric of Table 4).

@@ -22,43 +22,37 @@ from repro.plan.nodes import JoinNode, PlanNode, ScanNode
 from repro.plan.spec import JoinEdge, QuerySpec
 
 
-_CARD_CACHE: dict[tuple, dict[str, int]] = {}
-
-
 def filtered_cardinalities(spec: QuerySpec, catalog: Catalog) -> dict[str, int]:
     """Exact per-alias row counts after pushed-down filters (the paper's
-    injected true cardinalities). Cached per (catalog, query): repeated timed
-    runs of the same query should not re-pay the statistics cost."""
-    ck = (id(catalog), spec.name,
-          tuple(sorted(spec.filters)), tuple((t.alias, t.table) for t in spec.tables))
-    if ck in _CARD_CACHE:
-        return _CARD_CACHE[ck]
+    injected true cardinalities). Cached on the catalog per query: repeated
+    timed runs of the same query should not re-pay the statistics cost."""
+    ck = (spec.name, tuple(sorted(spec.filters)),
+          tuple((t.alias, t.table) for t in spec.tables))
+    if ck in catalog.card_cache:
+        return catalog.card_cache[ck]
     out: dict[str, int] = {}
     con = duckdb.connect()
     try:
         for a in spec.aliases:
             t = catalog.table(spec.table_of(a))
-            con.register(a, t.pdf_original)
+            con.register(a, t.pdf)
             fs = spec.scan_filters(a)
             where = (" WHERE " + " AND ".join(f"({f})" for f in fs)) if fs else ""
             out[a] = con.execute(f"SELECT count(*) FROM {a}{where}").fetchone()[0]
     finally:
         con.close()
-    _CARD_CACHE[ck] = out
+    catalog.card_cache[ck] = out
     return out
 
 
-_DISTINCT_CACHE: dict[tuple[int, str, tuple[str, ...]], int] = {}
-
-
 def _distinct_count(catalog: Catalog, table: str, cols: tuple[str, ...]) -> int:
-    """Distinct-key statistic, cached per catalog instance (it is recomputed
-    for every planned query otherwise, which costs more than planning)."""
-    key = (id(catalog), table, cols)
-    if key not in _DISTINCT_CACHE:
-        pdf = catalog.table(table).pdf_original
-        _DISTINCT_CACHE[key] = max(1, int(pdf[list(cols)].drop_duplicates().shape[0]))
-    return _DISTINCT_CACHE[key]
+    """Distinct-key statistic, cached on the catalog (it is recomputed for
+    every planned query otherwise, which costs more than planning)."""
+    key = (table, cols)
+    if key not in catalog.distinct_cache:
+        pdf = catalog.table(table).pdf
+        catalog.distinct_cache[key] = max(1, int(pdf[list(cols)].drop_duplicates().shape[0]))
+    return catalog.distinct_cache[key]
 
 
 @dataclass

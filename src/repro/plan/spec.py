@@ -152,18 +152,13 @@ class QuerySpec:
         al = set(self.aliases)
         return [f for f in self.filters if len(aliases_in(f, al)) > 1]
 
-    def needed_columns(self) -> dict[str, set[str]]:
-        """User-visible columns each scan must produce (select + filters +
-        join keys). Plan-introduced RID columns are added later by the
-        executor from the physical plan."""
+    def referenced_columns(self) -> dict[str, set[str]]:
+        """Columns of each alias that the select list and filters reference.
+        Each executor adds the join-key or RID columns its plan reads."""
         need: dict[str, set[str]] = {a: set() for a in self.aliases}
-        exprs = [e for e, _ in self.select] + list(self.filters)
-        for e in exprs:
+        for e in [e for e, _ in self.select] + list(self.filters):
             for a in self.aliases:
                 need[a] |= cols_of(e, a)
-        for j in self.joins:
-            need[j.left_alias] |= set(j.left_cols)
-            need[j.right_alias] |= set(j.right_cols)
         return need
 
     def edges_of(self, alias: str) -> list[JoinEdge]:

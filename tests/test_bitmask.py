@@ -74,17 +74,11 @@ def test_combine_shape_mismatch_raises():
         a.combine(b)
 
 
-def test_all_set():
-    m = SemiJoinMasks.all_set(5, 2)
-    assert m.selected_rows() == 5
-    assert m.rows_in_active_zones() == 5
-
-
 def test_single_row_table():
     m = SemiJoinMasks.from_rids(np.array([0]), n_rows=1, zone_size=2048)
     assert m.rows_in_active_zones() == 1
 
 
 def test_zone_count_rounding():
-    m = SemiJoinMasks.all_set(9, 4)
+    m = SemiJoinMasks.from_rids(np.arange(9), n_rows=9, zone_size=4)
     assert m.zone.shape[0] == 3

@@ -88,14 +88,65 @@ def test_rid_col_name_stable():
     assert rid_col_name("person", ("person1id",)) == "_rid_person__person1id"
 
 
-def test_find_predefined_both_orientations(cat):
+def test_classify_fk_both_orientations(cat):
+    _register_pair(cat)
+    pj = cat.predefine_join("f", ["fk"], "p", ["k"])
+    e = cat.classify("f", ("fk",), "p", ("k",))
+    assert (e.kind, e.f_side, e.a_pj, e.b_pj) == ("fk", "a", pj, None)
+    e = cat.classify("p", ("k",), "f", ("fk",))
+    assert (e.kind, e.f_side, e.a_pj, e.b_pj) == ("fk", "b", None, pj)
+
+
+def test_classify_value(cat):
     _register_pair(cat)
     cat.predefine_join("f", ["fk"], "p", ["k"])
-    pj, side = cat.find_predefined("f", ("fk",), "p", ("k",))
-    assert side == "a" and pj.f_table == "f"
-    pj, side = cat.find_predefined("p", ("k",), "f", ("fk",))
-    assert side == "b" and pj.f_table == "f"
-    assert cat.find_predefined("f", ("w",), "p", ("k",)) is None
+    e = cat.classify("f", ("w",), "p", ("k",))
+    assert (e.kind, e.f_side, e.a_pj, e.b_pj) == ("value", None, None, None)
+    # The predefined FK, but against a non-key column of P.
+    assert cat.classify("f", ("fk",), "p", ("v",)).kind == "value"
+
+
+def _register_fkfk(cat):
+    cat.register("p", pd.DataFrame({"k": [1, 2]}))
+    cat.register("q", pd.DataFrame({"k": [1, 2]}))
+    cat.register("e1", pd.DataFrame({"s": [1, 2], "d": [2, 1]}))
+    cat.register("e2", pd.DataFrame({"s": [1, 1], "t": [2, 2]}))
+    return (cat.predefine_join("e1", ["d"], "p", ["k"]),
+            cat.predefine_join("e2", ["s"], "p", ["k"]),
+            cat.predefine_join("e2", ["t"], "q", ["k"]))
+
+
+def test_classify_fkfk(cat):
+    d_pj, s_pj, _ = _register_fkfk(cat)
+    e = cat.classify("e1", ("d",), "e2", ("s",))
+    assert (e.kind, e.f_side, e.a_pj, e.b_pj) == ("fkfk", None, d_pj, s_pj)
+    e = cat.classify("e2", ("s",), "e1", ("d",))
+    assert (e.a_pj, e.b_pj) == (s_pj, d_pj)
+
+
+def test_classify_fkfk_needs_same_p(cat):
+    _register_fkfk(cat)
+    # Both sides are FKs, but into different tables (p vs q).
+    assert cat.classify("e1", ("d",), "e2", ("t",)).kind == "value"
+
+
+def test_classify_self_join(snb_cat):
+    e = snb_cat.classify("tagclass", ("subclassoftagclassid",), "tagclass", ("tagclassid",))
+    assert e.kind == "fk" and e.f_side == "a"
+    assert e.a_pj.f_table == e.a_pj.p_table == "tagclass"
+    e = snb_cat.classify("tagclass", ("tagclassid",), "tagclass", ("subclassoftagclassid",))
+    assert e.kind == "fk" and e.f_side == "b"
+
+
+def test_classify_multi_column_key(cat):
+    cat.register("p", pd.DataFrame({"a": [1, 1, 2], "b": [1, 2, 1]}))
+    cat.register("f", pd.DataFrame({"x": [2, 1], "y": [1, 2]}))
+    pj = cat.predefine_join("f", ["x", "y"], "p", ["a", "b"])
+    e = cat.classify("f", ("x", "y"), "p", ("a", "b"))
+    assert (e.kind, e.a_pj) == ("fk", pj)
+    # A single column of the key, or the columns paired in another order, is no FK.
+    assert cat.classify("f", ("x",), "p", ("a",)).kind == "value"
+    assert cat.classify("f", ("y", "x"), "p", ("a", "b")).kind == "value"
 
 
 def test_build_rid_index_requires_predefine(cat):
@@ -108,8 +159,8 @@ def test_build_rid_index(cat):
     _register_pair(cat)
     cat.predefine_join("f", ["fk"], "p", ["k"])
     idx = cat.build_rid_index("f", ["fk"])
-    assert idx.lookup(0).tolist() == [1]
-    assert sorted(idx.lookup(1).tolist()) == [0, 2]
+    assert idx.lookup_many(np.array([0])).tolist() == [1]
+    assert sorted(idx.lookup_many(np.array([1])).tolist()) == [0, 2]
     assert cat.rid_index("f", ("fk",)) is idx
 
 
@@ -145,6 +196,8 @@ def test_oracle_tables_exclude_rid_columns(cat):
     cat.predefine_join("f", ["fk"], "p", ["k"])
     orig = cat.oracle_tables()
     assert list(orig["f"].columns) == ["fk", "w"]
+    assert orig["f"]["fk"].tolist() == [20, 10, 20, 99]
+    assert cat.table("f").pdf_original.equals(orig["f"])
 
 
 def test_nullable_rid_roundtrips_through_spark(spark, cat):

@@ -97,3 +97,22 @@ def test_single_table_plan(follows_cat):
     )
     plan = greedy_plan(spec, follows_cat)
     assert isinstance(plan, ScanNode) and plan.filters == ["p.ID = 101"]
+
+
+def test_stats_cached_per_catalog(spark):
+    """Two live catalogs with the same table name and query but different data
+    each get their own statistics; a repeat call is served from the cache."""
+    import pandas as pd
+
+    from repro.core.catalog import Catalog
+
+    spec = QuerySpec(name="q", tables=[TableRef("t", "t")], joins=[],
+                     filters=["t.x > 1"], select=[("t.x", "x")])
+    small, big = Catalog(spark), Catalog(spark)
+    small.register("t", pd.DataFrame({"x": [1, 2]}))
+    big.register("t", pd.DataFrame({"x": [1, 2, 3, 4]}))
+    first = filtered_cardinalities(spec, small)
+    assert first == {"t": 1}
+    assert filtered_cardinalities(spec, big) == {"t": 3}
+    assert filtered_cardinalities(spec, small) is first
+    assert len(small.card_cache) == len(big.card_cache) == 1

@@ -1,6 +1,7 @@
 """End-to-end reproduction of the paper's running example:
 Tables 1–2 (RID materialization), Figure 2 (extended RID index), and
 Examples 2–4 (the two-hop query under each system configuration)."""
+import numpy as np
 import pytest
 
 from repro.core.catalog import RID
@@ -41,7 +42,7 @@ def test_table2_extended_person(follows_cat):
 def test_figure2_rid_index(follows_cat):
     idx = follows_cat.rid_index("follows", ("ID1",))
     assert idx.offsets.tolist() == [0, 3, 4, 5, 5]
-    assert idx.lookup(1).tolist() == [3]  # Karim follows via Follows row 3
+    assert idx.lookup_many(np.array([1])).tolist() == [3]  # Karim follows via Follows row 3
     _, f, ext = idx.pairs([1])
     assert f.tolist() == [3] and ext.tolist() == [2]  # -> Carmen (RID 2)
 

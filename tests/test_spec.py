@@ -73,9 +73,9 @@ def test_scan_vs_residual_filters():
 
 
 def test_needed_columns():
-    s = _spec()
-    need = s.needed_columns()
-    assert need["a"] == {"v", "x"} and need["b"] == {"w", "y"}
+    s = _spec(filters=["a.v > 3", "b.z = 'a.q'"])
+    need = s.referenced_columns()  # select + filters; join keys are the plan's
+    assert need["a"] == {"v"} and need["b"] == {"w", "z"}
 
 
 def test_to_sql_plain():

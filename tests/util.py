@@ -22,7 +22,6 @@ def oracle_check(spark, catalog: Catalog, spec: QuerySpec, system: str) -> ExecO
     """Execute under ``system`` and diff against DuckDB running the spec's SQL
     over the original (pre-RID) tables."""
     out = run_system(spark, catalog, spec, system, collect=False)
-    names = {t.table for t in spec.tables}
-    tables = {k: v for k, v in catalog.oracle_tables().items() if k in names}
+    tables = {t.table: catalog.table(t.table).pdf_original for t in spec.tables}
     assert_equivalent(out.df, spec.to_sql(), **tables)
     return out
