@@ -14,6 +14,10 @@ pandas (a single vectorized merge per predefinition), then ``finalize(spark)``
 turns each into a cached Spark DataFrame that all executors scan. The DuckDB
 oracle sees each table's registered columns only (``Table.pdf_original``).
 
+``scan_rids`` is the one driver-side evaluator of scan filters, for the
+optimizer's true cardinalities and the executor's SIP RID sets alike; it runs
+on one DuckDB connection per catalog.
+
 ``classify`` is the one place that decides how an equi-join edge relates to
 the predefined joins; the rewrite, the semijoin propagation and the INLJ
 executor all branch on its answer.
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import duckdb
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
@@ -108,6 +113,7 @@ class Catalog:
         # Planner statistics (``repro.plan.optimizer``), cached per catalog.
         self.card_cache: dict[tuple, dict[str, int]] = {}
         self.distinct_cache: dict[tuple[str, tuple[str, ...]], int] = {}
+        self._con = duckdb.connect()  # serves ``scan_rids``; closed by ``unpersist``
         self._finalized = False
 
     # ------------------------------------------------------------------ load
@@ -123,6 +129,9 @@ class Catalog:
         ext[RID] = np.arange(len(ext), dtype=np.int64)
         t = Table(name=name, pdf=ext, user_columns=list(pdf.columns))
         self.tables[name] = t
+        # The view keeps the columns present now: the user columns and _rid,
+        # all a scan filter may reference. RID columns added later stay hidden.
+        self._con.register(name, ext)
         return t
 
     def predefine_join(
@@ -219,9 +228,21 @@ class Catalog:
         self._finalized = True
 
     def unpersist(self) -> None:
+        """Release the cached Spark DataFrames and the DuckDB connection."""
         for t in self.tables.values():
             if t.df is not None:
                 t.df.unpersist()
+        self._con.close()
+
+    # ---------------------------------------------------------------- filter
+    def scan_rids(self, table: str, alias: str, filters: list[str]) -> np.ndarray:
+        """int64 RIDs of ``table``'s rows that pass all of ``filters``, raw
+        ``alias.col`` predicates (a scan's pushed-down filters)."""
+        if not filters:
+            return np.arange(self.tables[table].n_rows, dtype=np.int64)
+        where = " AND ".join(f"({f})" for f in filters)
+        sql = f'SELECT "{RID}" FROM "{table}" AS {alias} WHERE {where}'
+        return self._con.execute(sql).fetchnumpy()[RID]
 
     # ---------------------------------------------------------------- lookup
     def classify(

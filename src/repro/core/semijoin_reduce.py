@@ -8,8 +8,9 @@ being measured. Instead, the executor computes each SJoin's passed RID set in
 the driver by propagating per-scan filter results through the predefined-join
 structure:
 
-- every filtered scan contributes its exact qualifying RID set (evaluated on
-  the catalog's pandas copy — the same rows a hash-join build would read);
+- every filtered scan contributes its exact qualifying RID set
+  (``Catalog.scan_rids`` over the catalog's pandas copy, on the catalog's one
+  DuckDB connection — the same rows a hash-join build would read);
 - sets propagate across predefined edges: ``P-set given F-set`` follows F's
   materialized RID column (forward, needs only RID materialization);
   ``F-set given P-set`` goes through the RID index (a reverse semijoin, so it
@@ -26,6 +27,7 @@ of the dataflow so that Spark executes one fused job per query.
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 
 from repro.core.catalog import Catalog
 from repro.plan.spec import QuerySpec
@@ -56,15 +58,17 @@ def _edge_maps(spec: QuerySpec, catalog: Catalog, aliases: set[str], allow_rever
             # ya's pointer column: into xa ('fk'), or into the shared P ('fkfk').
             col = None
             if c.b_pj is not None:
-                col = catalog.table(spec.table_of(ya)).pdf[c.b_pj.rid_col].to_numpy(
-                    dtype="float64", na_value=np.nan)
+                col = catalog.table(spec.table_of(ya)).pdf[c.b_pj.rid_col]
             maps.append((ya, xa, _via(col, idx)))
     return maps
 
 
-def _via(col: np.ndarray | None, idx):
+def _via(col: pd.Series | None, idx):
     """Follow ``col`` (a pointer column of the source) to P-RIDs, then map
     them through ``idx`` (an RID index) to F-RIDs; either step may be absent."""
+    if col is not None:
+        col = col.to_numpy(dtype="float64", na_value=np.nan)
+
     def fn(rids: np.ndarray) -> np.ndarray:
         if col is not None:
             vals = col[rids]

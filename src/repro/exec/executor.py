@@ -6,11 +6,12 @@ probe-side ScanSJ operators, and only then is the probe subtree constructed —
 so the probe scans observe every bitmask that the paper's operators would have
 received. The RID sets themselves are computed in the driver by semijoin
 propagation over the predefined-join structure (``repro.core.semijoin_reduce``
-— exact per-scan filters, superset-safe across joins) so the whole query still
-runs as one fused Spark action, matching the paper's in-process SIP cost
-profile. The joins themselves are Catalyst equi-joins (broadcast disabled
-session-wide, so shuffle hash/sort-merge paths run; SIP filters and merge-join
-pairs use explicit broadcasts — they ARE the sideways-passed information).
+— exact per-scan filters from ``Catalog.scan_rids``, superset-safe across
+joins) so the whole query still runs as one fused Spark action, matching the
+paper's in-process SIP cost profile. The joins themselves are Catalyst
+equi-joins (broadcast disabled session-wide, so shuffle hash/sort-merge paths
+run; SIP filters and merge-join pairs use explicit broadcasts — they ARE the
+sideways-passed information).
 
 Also computes the scanned-tuple accounting that backs Table 4's
 "Scan Reduction" row: a plain scan reads the whole table; a ScanSJ reads only
@@ -30,6 +31,7 @@ from pyspark.sql.types import LongType, StructField, StructType
 from repro.core.bitmask import SemiJoinMasks
 from repro.core.catalog import RID, Catalog
 from repro.core.rewrite import CONFIGS, GRAIN_FULL, GrainConfig, rewrite_plan
+from repro.core.semijoin_reduce import _via
 from repro.plan.nodes import (
     JoinNode,
     MergeJoinNode,
@@ -117,13 +119,12 @@ class PlanExecutor:
         spec: QuerySpec,
         mode: str | GrainConfig = "GRainDB",
         order: list[str] | None = None,
-        bushy: bool = True,
     ) -> PlanNode:
         cfg = CONFIGS[mode] if isinstance(mode, str) else mode
         plan = (
             plan_from_order(spec, self.catalog, order)
             if order is not None
-            else greedy_plan(spec, self.catalog, bushy=bushy)
+            else greedy_plan(spec, self.catalog)
         )
         return rewrite_plan(plan, spec, self.catalog, cfg)
 
@@ -133,11 +134,10 @@ class PlanExecutor:
         spec: QuerySpec,
         mode: str | GrainConfig = "GRainDB",
         order: list[str] | None = None,
-        bushy: bool = True,
         collect: bool = True,
     ) -> ExecOutcome:
         cfg = CONFIGS[mode] if isinstance(mode, str) else mode
-        plan = self.build_plan(spec, cfg, order=order, bushy=bushy)
+        plan = self.build_plan(spec, cfg, order=order)
         return self.execute_plan(spec, plan, cfg=cfg, collect=collect)
 
     def execute_plan(self, spec: QuerySpec, plan: PlanNode,
@@ -174,50 +174,25 @@ class PlanExecutor:
         ctx.metrics.table_rows[node.alias] = t.n_rows
         return df
 
-    def _driver_scan_rids(self, node: ScanNode, ctx: _Ctx) -> np.ndarray:
-        """RIDs a bare (possibly filtered) scan would feed a hash-join build.
-
-        A hash join's build phase fully reads its input before the probe side
-        runs; when that input is a single scan, the RID set is a pure function
-        of the base table and its pushed-down filters, so we evaluate it on
-        the catalog's pandas copy in the driver — same rows, no Spark job.
-        """
-        import duckdb
-
-        from repro.plan.spec import dealias
-
-        t = self.catalog.table(node.table)
-        con = duckdb.connect()
-        try:
-            con.register("t", t.pdf)
-            where = ""
-            if node.filters:
-                where = " WHERE " + " AND ".join(
-                    f"({dealias(f, node.alias)})" for f in node.filters
-                )
-            rids = con.execute(f'SELECT "{RID}" FROM t{where}').fetchdf()[RID]
-        finally:
-            con.close()
-        rids = rids.to_numpy(dtype=np.int64)
-        masks = ctx.masks.get(node.alias)
-        if masks is not None:
-            rids = rids[masks.row[rids]]
-        return np.unique(rids)
-
     def _subtree_sets(self, subtree: PlanNode, spec: QuerySpec,
                       ctx: _Ctx) -> dict[str, np.ndarray | None]:
         """Semijoin-reduced RID sets for every alias of a build subtree,
-        computed in the driver (see ``repro.core.semijoin_reduce``). Aliases of
-        join-merged relationship tables participate as unfiltered hops so
+        computed in the driver (see ``repro.core.semijoin_reduce``). A hash
+        build reads its input fully before the probe runs, so a scan's set is
+        a pure function of its filters and earlier masks: no Spark job. Aliases
+        of join-merged relationship tables participate as unfiltered hops so
         information still flows through them."""
         from repro.core.semijoin_reduce import propagate
 
         init: dict[str, np.ndarray | None] = {}
         for scan in scans_of(subtree):
-            if scan.filters or ctx.masks.get(scan.alias) is not None:
-                init[scan.alias] = self._driver_scan_rids(scan, ctx)
-            else:
-                init[scan.alias] = None
+            masks = ctx.masks.get(scan.alias)
+            init[scan.alias] = None
+            if scan.filters or masks is not None:
+                rids = self.catalog.scan_rids(scan.table, scan.alias, scan.filters)
+                if masks is not None:
+                    rids = rids[masks.row[rids]]
+                init[scan.alias] = np.unique(rids)
         for j in joins_of(subtree):
             if isinstance(j, MergeJoinNode):
                 init.setdefault(j.f_alias, None)
@@ -233,21 +208,15 @@ class PlanExecutor:
 
     def _register_sip(self, sip: SipAction, sets: dict[str, np.ndarray | None],
                       spec: QuerySpec, ctx: _Ctx) -> None:
-        src_set = sets.get(sip.source_alias)
-        if sip.source_col == RID:
-            rids = src_set
-        else:
-            col = self.catalog.table(spec.table_of(sip.source_alias)).pdf[
-                sip.source_col
-            ].to_numpy(dtype="float64", na_value=np.nan)
-            vals = col if src_set is None else col[src_set]
-            rids = np.unique(vals[~np.isnan(vals)]).astype(np.int64)
+        src = self.catalog.table(spec.table_of(sip.source_alias))
+        rids = sets.get(sip.source_alias)
+        col = None if sip.source_col == RID else src.pdf[sip.source_col]
         if rids is None:
-            return  # no information to pass
-        if sip.kind == "index":
-            idx = self.catalog.rid_index(*sip.index_key)
-            rids = np.unique(idx.lookup_many(rids))
-        self._pass_rids(rids, sip.target_alias, spec, ctx)
+            if col is None:
+                return  # no information to pass
+            rids = np.arange(src.n_rows)  # every row's pointer
+        idx = self.catalog.rid_index(*sip.index_key) if sip.kind == "index" else None
+        self._pass_rids(_via(col, idx)(rids), sip.target_alias, spec, ctx)
 
     def _run(self, node: PlanNode, spec: QuerySpec, needed: dict[str, set[str]],
              ctx: _Ctx) -> DataFrame:

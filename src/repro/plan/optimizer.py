@@ -3,7 +3,7 @@
 Plays the role of DuckDB's optimizer in the paper's setup: the paper injects
 *true cardinalities* into DuckDB to isolate join-strategy effects from
 join-order noise (§7.1, Appendix B); we do the same by computing exact
-post-filter cardinalities with DuckDB over the base tables, then running a
+post-filter cardinalities with ``Catalog.scan_rids``, then running a
 greedy bushy join-ordering. GRainDB then rewrites *the same plan* — the paper
 keeps DuckDB's join order and only swaps operators.
 
@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-
-import duckdb
 
 from repro.core.catalog import Catalog
 from repro.plan.nodes import JoinNode, PlanNode, ScanNode
@@ -28,21 +26,12 @@ def filtered_cardinalities(spec: QuerySpec, catalog: Catalog) -> dict[str, int]:
     timed runs of the same query should not re-pay the statistics cost."""
     ck = (spec.name, tuple(sorted(spec.filters)),
           tuple((t.alias, t.table) for t in spec.tables))
-    if ck in catalog.card_cache:
-        return catalog.card_cache[ck]
-    out: dict[str, int] = {}
-    con = duckdb.connect()
-    try:
-        for a in spec.aliases:
-            t = catalog.table(spec.table_of(a))
-            con.register(a, t.pdf)
-            fs = spec.scan_filters(a)
-            where = (" WHERE " + " AND ".join(f"({f})" for f in fs)) if fs else ""
-            out[a] = con.execute(f"SELECT count(*) FROM {a}{where}").fetchone()[0]
-    finally:
-        con.close()
-    catalog.card_cache[ck] = out
-    return out
+    if ck not in catalog.card_cache:
+        catalog.card_cache[ck] = {
+            a: len(catalog.scan_rids(spec.table_of(a), a, spec.scan_filters(a)))
+            for a in spec.aliases
+        }
+    return catalog.card_cache[ck]
 
 
 def _distinct_count(catalog: Catalog, table: str, cols: tuple[str, ...]) -> int:
@@ -105,9 +94,9 @@ def _leaf(spec: QuerySpec, alias: str, cards: dict[str, int]) -> _Component:
     )
 
 
-def greedy_plan(spec: QuerySpec, catalog: Catalog, bushy: bool = True) -> PlanNode:
-    """Greedy cardinality-driven join ordering (bushy by default). The smaller
-    estimated side of every join becomes the hash build side, as in DuckDB."""
+def greedy_plan(spec: QuerySpec, catalog: Catalog) -> PlanNode:
+    """Greedy cardinality-driven bushy join ordering. The smaller estimated
+    side of every join becomes the hash build side, as in DuckDB."""
     cards = filtered_cardinalities(spec, catalog)
     comps = [_leaf(spec, a, cards) for a in spec.aliases]
     if len(comps) == 1:
@@ -118,10 +107,6 @@ def greedy_plan(spec: QuerySpec, catalog: Catalog, bushy: bool = True) -> PlanNo
             edges = _edges_between(spec, comps[i].aliases, comps[j].aliases)
             if not edges:
                 continue
-            if not bushy and len(comps) < len(spec.aliases):
-                # Left-deep: once a composite exists, it must participate.
-                if isinstance(comps[i].node, ScanNode) and isinstance(comps[j].node, ScanNode):
-                    continue
             card = _join_card(spec, catalog, comps[i], comps[j], edges)
             key = (card, tuple(sorted(comps[i].aliases | comps[j].aliases)))
             if best is None or key < best[0]:

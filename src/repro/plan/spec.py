@@ -69,15 +69,6 @@ def qualify(expr: str, aliases: list[str] | set[str]) -> str:
     )
 
 
-def dealias(expr: str, alias: str) -> str:
-    """Strip one alias's qualifier (``alias.col`` → ``col``) outside string
-    literals — used to evaluate pushed-down scan filters directly over the
-    catalog's pandas copy of a table."""
-    parts = re.split(r"('(?:[^']|'')*')", expr)
-    pat = re.compile(rf"\b{re.escape(alias)}\.")
-    return "".join(p if i % 2 else pat.sub("", p) for i, p in enumerate(parts))
-
-
 def aliases_in(expr: str, aliases: list[str] | set[str]) -> set[str]:
     """Which of ``aliases`` an expression references (outside string literals)."""
     parts = re.split(r"('(?:[^']|'')*')", expr)

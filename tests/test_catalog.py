@@ -217,3 +217,39 @@ def test_predefine_relationship_builds_both_indices(cat):
     assert fwd is not None and bwd is not None
     assert fwd.ext_rids is not None and bwd.ext_rids is not None
     assert cat.index_ext_target[("e", ("s",))].fk_cols == ("d",)
+
+
+def test_scan_rids_no_filters_is_every_row(cat):
+    _register_pair(cat)
+    got = cat.scan_rids("f", "x", [])
+    assert got.dtype == np.int64 and got.tolist() == [0, 1, 2, 3]
+
+
+def test_scan_rids_alias_text_inside_literal(cat):
+    cat.register("person", pd.DataFrame({"name": ["p.x", "q", "p.x", "p.name"]}))
+    assert cat.scan_rids("person", "p", ["p.name = 'p.x'"]).tolist() == [0, 2]
+    assert cat.scan_rids("person", "p", ["p.name <> 'p.x'", "p.name <> 'q'"]).tolist() == [3]
+
+
+def test_scan_rids_after_predefine_join(cat):
+    _register_pair(cat)
+    pj = cat.predefine_join("f", ["fk"], "p", ["k"])
+    assert pj.rid_col in cat.table("f").pdf.columns
+    assert cat.scan_rids("f", "f1", ["f1.fk = 20", "f1.w > 1"]).tolist() == [2]
+    assert cat.scan_rids("p", "p", ["p.v <> 'a'"]).tolist() == [1, 2]
+
+
+def test_scan_rids_empty_result(cat):
+    _register_pair(cat)
+    got = cat.scan_rids("f", "f", ["f.w > 100"])
+    assert got.dtype == np.int64 and len(got) == 0
+
+
+def test_unpersist_closes_the_connection(spark):
+    import duckdb
+
+    c = Catalog(spark)
+    _register_pair(c)
+    c.unpersist()
+    with pytest.raises(duckdb.ConnectionException):
+        c.scan_rids("f", "f", ["f.w > 1"])

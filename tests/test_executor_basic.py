@@ -154,15 +154,6 @@ def test_explicit_order_matches_greedy_result(spark, mini_cat):
     assert a.equals(b) and b.equals(c)
 
 
-def test_left_deep_flag(spark, mini_cat):
-    spec = _spec()
-    from repro.exec.executor import PlanExecutor
-
-    ex = PlanExecutor(spark, mini_cat)
-    out = ex.execute(spec, mode="DuckDB", bushy=False)
-    assert out.result is not None
-
-
 def test_metrics_table_rows(spark, mini_cat):
     out = run_system(spark, mini_cat, _spec(), "DuckDB", collect=True)
     assert out.metrics.table_rows == {"d": 40, "f": 800}
