@@ -27,9 +27,10 @@ def spark() -> SparkSession:
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
     pre-JVM-launch). Per-session configs that *are* honoured post-launch
     (shuffle partitions, Arrow, broadcast threshold) are set here.
-    Broadcast joins are disabled so papers about shuffle/join algorithms
-    actually exercise the shuffle path at SF~=0.1; a reproduction that
-    wants a broadcast join sets the threshold back for that query.
+    Automatic broadcast joins are disabled, so every join Catalyst picks on
+    its own is a shuffle join; the executor asks for a broadcast hash join
+    with an explicit ``F.broadcast`` hint on the build side, which wins over
+    the threshold.
     """
     s = (
         SparkSession.builder.appName("repro")

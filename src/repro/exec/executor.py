@@ -8,10 +8,16 @@ received. The RID sets themselves are computed in the driver by semijoin
 propagation over the predefined-join structure (``repro.core.semijoin_reduce``
 — exact per-scan filters from ``Catalog.scan_rids``, superset-safe across
 joins) so the whole query still runs as one fused Spark action, matching the
-paper's in-process SIP cost profile. The joins themselves are Catalyst
-equi-joins (broadcast disabled session-wide, so shuffle hash/sort-merge paths
-run; SIP filters and merge-join pairs use explicit broadcasts — they ARE the
-sideways-passed information).
+paper's in-process SIP cost profile.
+
+Every plan join runs as the hash join the plan describes: the build child is
+wrapped in an explicit broadcast hint, so Spark builds its hash table from
+exactly that side (``BuildLeft`` / ``BuildRight``) and streams the probe side,
+ScanSJ filter included, through it without a shuffle. SJoinIdxM broadcasts
+its index pairs and then ``build ⋈ pairs`` the same way. The hint wins over a
+session's ``autoBroadcastJoinThreshold=-1``. Only a build side estimated above
+``BROADCAST_MAX_ROWS`` rows is left to Catalyst's own (shuffle) join. DuckDB
+mode runs through the same code, so both modes get the same physical join.
 
 Also computes the scanned-tuple accounting that backs Table 4's
 "Scan Reduction" row: a plain scan reads the whole table; a ScanSJ reads only
@@ -45,6 +51,12 @@ from repro.plan.nodes import (
 from repro.plan.optimizer import greedy_plan, plan_from_order
 from repro.plan.spec import QuerySpec, qualify
 
+# Largest build side, in rows, that is broadcast as a hash-join build: the
+# optimizer's estimate for a join's build child, the exact count of an
+# SJoinIdxM pairs relation. A larger one would ship a giant broadcast, so it
+# falls back to Catalyst's shuffle join.
+BROADCAST_MAX_ROWS = 2_000_000
+
 
 @dataclass
 class ExecMetrics:
@@ -74,6 +86,9 @@ class _Ctx:
     def __init__(self, cfg: GrainConfig) -> None:
         self.cfg = cfg
         self.masks: dict[str, SemiJoinMasks] = {}
+        # alias -> Catalog.scan_rids result, so a scan under several SJoin
+        # builds is evaluated once per execution (never across executions).
+        self.scan_rids: dict[str, np.ndarray] = {}
         self.metrics = ExecMetrics()
 
 
@@ -189,7 +204,10 @@ class PlanExecutor:
             masks = ctx.masks.get(scan.alias)
             init[scan.alias] = None
             if scan.filters or masks is not None:
-                rids = self.catalog.scan_rids(scan.table, scan.alias, scan.filters)
+                rids = ctx.scan_rids.get(scan.alias)
+                if rids is None:
+                    rids = ctx.scan_rids[scan.alias] = self.catalog.scan_rids(
+                        scan.table, scan.alias, scan.filters)
                 if masks is not None:
                     rids = rids[masks.row[rids]]
                 init[scan.alias] = np.unique(rids)
@@ -233,6 +251,8 @@ class PlanExecutor:
             for s in node.sips:
                 self._register_sip(s, sets, spec, ctx)
         df_probe = self._run(probe_child, spec, needed, ctx)
+        if build_child.est_rows <= BROADCAST_MAX_ROWS:
+            df_build = F.broadcast(df_build)
         df_l, df_r = (
             (df_build, df_probe) if node.build == "left" else (df_probe, df_build)
         )
@@ -265,18 +285,20 @@ class PlanExecutor:
         )
         df_pairs = self.spark.createDataFrame(pairs, schema=pairs_schema).coalesce(1)
         # The pairs relation comes straight out of the in-memory RID index, so
-        # broadcast it (the analogue of the index lookups feeding SJoinIdxM)
-        # instead of shuffling both inputs; beyond a size cap fall back to a
-        # shuffle join rather than shipping a giant broadcast.
-        if len(pairs) <= 2_000_000:
+        # broadcast it (the analogue of the index lookups feeding SJoinIdxM),
+        # then broadcast ``build ⋈ pairs`` as the build of the join with the
+        # probe subtree, which streams through unshuffled.
+        broadcast = len(pairs) <= BROADCAST_MAX_ROWS
+        if broadcast:
             df_pairs = F.broadcast(df_pairs)
-        out = (
-            df_build.join(df_pairs,
-                          F.col(p1_rid_col) == F.col("__m_p1"), "inner")
-            .join(df_probe, F.col("__m_p2") == F.col(f"{node.p2_alias}__{RID}"), "inner")
+        df_build = df_build.join(df_pairs, F.col(p1_rid_col) == F.col("__m_p1"), "inner")
+        if broadcast:
+            df_build = F.broadcast(df_build)
+        return (
+            df_build.join(df_probe, F.col("__m_p2") == F.col(f"{node.p2_alias}__{RID}"),
+                          "inner")
             .drop("__m_p1", "__m_p2")
         )
-        return out
 
 
 def finish(df: DataFrame, spec: QuerySpec) -> DataFrame:

@@ -31,10 +31,11 @@ from repro.core.bitmask import SemiJoinMasks
 ISIN_MAX = 64
 # A broadcast semi-join filter costs a fixed ~hundreds of ms on a local
 # cluster regardless of size; it pays for itself only when it actually keeps
-# a large number of rows out of the downstream shuffle/join. (The RID
-# equi-join enforces the same predicate anyway, so skipping never changes
-# results — this is an ordinary cost-based decision, like a real system
-# deciding whether a semijoin reducer is worth it.)
+# a large number of rows out of the probe side streamed through the
+# downstream hash joins. (The RID equi-join enforces the same predicate
+# anyway, so skipping never changes results — this is an ordinary cost-based
+# decision, like a real system deciding whether a semijoin reducer is worth
+# it.)
 APPLY_MIN_PRUNED_ROWS = 300_000
 
 
@@ -43,8 +44,8 @@ def should_apply(masks: SemiJoinMasks) -> bool:
     if sel <= ISIN_MAX:
         return True  # cheap scan predicate, no overhead to speak of
     # The bitmask pass costs an Arrow round-trip over the scanned columns;
-    # apply it only when it keeps a large volume out of the downstream
-    # shuffle/join. Skipping never changes results (the RID equi-join
+    # apply it only when it keeps a large volume out of the downstream hash
+    # joins' probe pipeline. Skipping never changes results (the RID equi-join
     # enforces the same predicate).
     return (masks.n_rows - sel) >= APPLY_MIN_PRUNED_ROWS
 

@@ -22,6 +22,11 @@ def oracle_check(spark, catalog: Catalog, spec: QuerySpec, system: str) -> ExecO
     """Execute under ``system`` and diff against DuckDB running the spec's SQL
     over the original (pre-RID) tables."""
     out = run_system(spark, catalog, spec, system, collect=False)
+    assert_oracle(catalog, spec, out)
+    return out
+
+
+def assert_oracle(catalog: Catalog, spec: QuerySpec, out: ExecOutcome) -> None:
+    """Diff an uncollected outcome against the DuckDB oracle."""
     tables = {t.table: catalog.table(t.table).pdf_original for t in spec.tables}
     assert_equivalent(out.df, spec.to_sql(), **tables)
-    return out
