@@ -11,8 +11,10 @@ This is the repo's stand-in for the storage layer the paper extends (§3):
 
 Tables are loaded as pandas (deterministic generators), RID-materialized in
 pandas (a single vectorized merge per predefinition), then ``finalize(spark)``
-turns each into a cached Spark DataFrame that all executors scan. The DuckDB
-oracle sees each table's registered columns only (``Table.pdf_original``).
+turns each into a cached Spark DataFrame that all executors scan, registered
+as a temp view (``Table.view``, unique per catalog) for the executor's SQL.
+The DuckDB oracle sees each table's registered columns only
+(``Table.pdf_original``).
 
 ``scan_rids`` is the one driver-side evaluator of scan filters, for the
 optimizer's true cardinalities and the executor's SIP RID sets alike; it runs
@@ -24,6 +26,7 @@ executor all branch on its answer.
 """
 from __future__ import annotations
 
+import uuid
 from dataclasses import dataclass, field
 
 import duckdb
@@ -81,13 +84,15 @@ class EdgeClass:
 
 @dataclass
 class Table:
-    """A registered base table: pandas source + (after finalize) cached Spark DF."""
+    """A registered base table: pandas source + (after finalize) cached Spark
+    DF and the name of the temp view over it."""
 
     name: str
     pdf: pd.DataFrame  # registered columns + _rid + materialized rid columns
     user_columns: list[str]  # the registered columns — what the oracle sees
     rid_cols: dict[tuple[str, ...], str] = field(default_factory=dict)
     df: DataFrame | None = None
+    view: str | None = None
 
     @property
     def n_rows(self) -> int:
@@ -114,6 +119,8 @@ class Catalog:
         self.card_cache: dict[tuple, dict[str, int]] = {}
         self.distinct_cache: dict[tuple[str, tuple[str, ...]], int] = {}
         self._con = duckdb.connect()  # serves ``scan_rids``; closed by ``unpersist``
+        # Temp-view names must not collide with another catalog's in the session.
+        self._view_prefix = f"cat{uuid.uuid4().hex[:12]}"
         self._finalized = False
 
     # ------------------------------------------------------------------ load
@@ -213,7 +220,8 @@ class Catalog:
         self.build_rid_index(f_table, fk2, extended_cols=fk1)
 
     def finalize(self) -> None:
-        """Create, cache and materialize the Spark DataFrames.
+        """Create, cache and materialize the Spark DataFrames, and register
+        each as a temp view.
 
         ``createDataFrame`` from pandas yields one partition per Arrow batch
         (~8k rows), which turns every scan into ~100 tiny tasks; coalesce to
@@ -225,11 +233,16 @@ class Catalog:
             n_parts = max(1, min(16, -(-t.n_rows // 200_000)))
             t.df = self.spark.createDataFrame(t.pdf).coalesce(n_parts).persist()
             t.df.count()  # materialize so query timings exclude load
+            t.view = f"{self._view_prefix}_{t.name}"
+            t.df.createOrReplaceTempView(t.view)
         self._finalized = True
 
     def unpersist(self) -> None:
-        """Release the cached Spark DataFrames and the DuckDB connection."""
+        """Release the cached Spark DataFrames, their temp views and the
+        DuckDB connection."""
         for t in self.tables.values():
+            if t.view is not None:
+                self.spark.catalog.dropTempView(t.view)
             if t.df is not None:
                 t.df.unpersist()
         self._con.close()

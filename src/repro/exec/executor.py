@@ -1,20 +1,30 @@
 """Plan executor: runs a (possibly rewritten) physical plan on Spark.
 
-Execution mirrors hash-join pipeline semantics: for every SJoin variant the
+Each execution compiles the plan tree to one Spark SQL statement over the
+catalog's temp views and runs it with a single ``spark.sql`` call, so Spark
+parses and analyses the whole query once. A scan is a subquery that renames
+every column to ``alias__col`` and applies the spec's filter text verbatim; a
+join is a hinted ``JOIN`` of its children; ``finish`` is the outer
+``SELECT [DISTINCT] … WHERE <residuals> GROUP BY …``. The few relations that
+are not text (SJoinIdxM's index pairs, a ScanSJ scan with its SIP filter
+applied) enter the statement as named ``spark.sql`` DataFrame arguments.
+
+Compilation mirrors hash-join pipeline semantics: for every SJoin variant the
 build subtree's RID sets are determined first, masks are registered for the
-probe-side ScanSJ operators, and only then is the probe subtree constructed —
-so the probe scans observe every bitmask that the paper's operators would have
+probe-side ScanSJ operators, and only then is the probe subtree compiled — so
+the probe scans observe every bitmask that the paper's operators would have
 received. The RID sets themselves are computed in the driver by semijoin
 propagation over the predefined-join structure (``repro.core.semijoin_reduce``
 — exact per-scan filters from ``Catalog.scan_rids``, superset-safe across
 joins) so the whole query still runs as one fused Spark action, matching the
 paper's in-process SIP cost profile.
 
-Every plan join runs as the hash join the plan describes: the build child is
-wrapped in an explicit broadcast hint, so Spark builds its hash table from
-exactly that side (``BuildLeft`` / ``BuildRight``) and streams the probe side,
-ScanSJ filter included, through it without a shuffle. SJoinIdxM broadcasts
-its index pairs and then ``build ⋈ pairs`` the same way. The hint wins over a
+Every plan join runs as the hash join the plan describes: the build child
+carries a ``BROADCAST`` hint, so Spark builds its hash table from exactly that
+side (``BuildLeft`` / ``BuildRight``) and streams the probe side, ScanSJ filter
+included, through it without a shuffle. Hinted joins are not reordered by
+Catalyst, so the executed join order is the plan's. SJoinIdxM broadcasts its
+index pairs and then ``build ⋈ pairs`` the same way. The hint wins over a
 session's ``autoBroadcastJoinThreshold=-1``. Only a build side estimated above
 ``BROADCAST_MAX_ROWS`` rows is left to Catalyst's own (shuffle) join. DuckDB
 mode runs through the same code, so both modes get the same physical join.
@@ -31,13 +41,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 from pyspark.sql.types import LongType, StructField, StructType
 
 from repro.core.bitmask import SemiJoinMasks
-from repro.core.catalog import RID, Catalog
+from repro.core.catalog import RID, Catalog, Table
 from repro.core.rewrite import CONFIGS, GRAIN_FULL, GrainConfig, rewrite_plan
 from repro.core.semijoin_reduce import _via
+from repro.exec import sip
 from repro.plan.nodes import (
     JoinNode,
     MergeJoinNode,
@@ -90,6 +100,31 @@ class _Ctx:
         # builds is evaluated once per execution (never across executions).
         self.scan_rids: dict[str, np.ndarray] = {}
         self.metrics = ExecMetrics()
+        # DataFrames the statement reads, by ``spark.sql`` argument name.
+        self.args: dict[str, DataFrame] = {}
+
+    def arg(self, df: DataFrame) -> str:
+        """Reference to ``df`` in the statement's text."""
+        name = f"arg{len(self.args)}"
+        self.args[name] = df
+        return f"{{{name}}}"
+
+
+def _esc(text: str) -> str:
+    """Spec text as statement text: ``spark.sql`` formats a statement that has
+    named arguments with ``str.format``, so literal braces are doubled."""
+    return text.replace("{", "{{").replace("}", "}}")
+
+
+def _sql(spark: SparkSession, text: str, args: dict[str, DataFrame]) -> DataFrame:
+    """Run statement ``text`` (braces escaped, DataFrames referenced as
+    ``{name}``) with its named DataFrame ``args``."""
+    return spark.sql(text, **args) if args else spark.sql(text.format())
+
+
+def _scan_cols(t: Table, alias: str, needed: dict[str, set[str]]) -> list[str]:
+    """The columns a scan of ``t`` emits (at least one)."""
+    return sorted(needed[alias]) or [t.user_columns[0]]
 
 
 def _plan_needed(spec: QuerySpec, plan: PlanNode) -> dict[str, set[str]]:
@@ -159,35 +194,36 @@ class PlanExecutor:
                      cfg: GrainConfig = GRAIN_FULL, collect: bool = True) -> ExecOutcome:
         ctx = _Ctx(cfg)
         ctx.metrics.plan = describe(plan)
-        df = finish(self._run(plan, spec, _plan_needed(spec, plan), ctx), spec)
+        body = self._compile(plan, spec, _plan_needed(spec, plan), ctx)
+        df = finish(self.spark, spec, body, ctx.args)
         result = df.toPandas() if collect else None
         return ExecOutcome(result=result, metrics=ctx.metrics, df=None if collect else df)
 
     # ----------------------------------------------------------- node logic
-    def _scan(self, node: ScanNode, spec: QuerySpec, needed: dict[str, set[str]],
-              ctx: _Ctx) -> DataFrame:
+    def _scan(self, node: ScanNode, needed: dict[str, set[str]], ctx: _Ctx) -> str:
         t = self.catalog.table(node.table)
-        cols = sorted(needed[node.alias]) or [t.user_columns[0]]
+        cols = _scan_cols(t, node.alias, needed)
         missing = [c for c in cols if c not in t.pdf.columns]
         if missing:
             raise KeyError(f"{node.table} has no columns {missing}")
-        df = t.df.select([F.col(c).alias(f"{node.alias}__{c}") for c in cols])
-        for f in node.filters:
-            df = df.filter(F.expr(qualify(f, spec.aliases)))
-        masks = ctx.masks.get(node.alias)
-        if masks is not None:
-            from repro.exec.sip import apply_sip_filter, should_apply
-
-            # A near-full mask is never worth applying: the RID equi-join
-            # enforces the same predicate, so skipping is correctness-neutral
-            # (the paper's "no major overheads" property).
-            if should_apply(masks):
-                df = apply_sip_filter(self.spark, df, f"{node.alias}__{RID}", masks)
-            ctx.metrics.scanned[node.alias] = masks.rows_in_active_zones()
-        else:
-            ctx.metrics.scanned[node.alias] = t.n_rows
-        ctx.metrics.table_rows[node.alias] = t.n_rows
-        return df
+        a = node.alias
+        sql = (f"SELECT {', '.join(f'`{a}`.`{c}` AS `{a}__{c}`' for c in cols)} "
+               f"FROM `{t.view}` AS `{a}`")
+        if node.filters:
+            sql += " WHERE " + " AND ".join(f"({_esc(f)})" for f in node.filters)
+        ctx.metrics.table_rows[a] = t.n_rows
+        masks = ctx.masks.get(a)
+        if masks is None:
+            ctx.metrics.scanned[a] = t.n_rows
+            return f"({sql})"
+        ctx.metrics.scanned[a] = masks.rows_in_active_zones()
+        # A near-full mask is never worth applying: the RID equi-join enforces
+        # the same predicate, so skipping is correctness-neutral (the paper's
+        # "no major overheads" property).
+        if not sip.should_apply(masks):
+            return f"({sql})"
+        df = _sql(self.spark, sql, {})
+        return ctx.arg(sip.apply_sip_filter(self.spark, df, f"{a}__{RID}", masks))
 
     def _subtree_sets(self, subtree: PlanNode, spec: QuerySpec,
                       ctx: _Ctx) -> dict[str, np.ndarray | None]:
@@ -224,48 +260,47 @@ class PlanExecutor:
         prev = ctx.masks.get(alias)
         ctx.masks[alias] = masks if prev is None else prev.combine(masks)
 
-    def _register_sip(self, sip: SipAction, sets: dict[str, np.ndarray | None],
+    def _register_sip(self, action: SipAction, sets: dict[str, np.ndarray | None],
                       spec: QuerySpec, ctx: _Ctx) -> None:
-        src = self.catalog.table(spec.table_of(sip.source_alias))
-        rids = sets.get(sip.source_alias)
-        col = None if sip.source_col == RID else src.pdf[sip.source_col]
+        src = self.catalog.table(spec.table_of(action.source_alias))
+        rids = sets.get(action.source_alias)
+        col = None if action.source_col == RID else src.pdf[action.source_col]
         if rids is None:
             if col is None:
                 return  # no information to pass
             rids = np.arange(src.n_rows)  # every row's pointer
-        idx = self.catalog.rid_index(*sip.index_key) if sip.kind == "index" else None
-        self._pass_rids(_via(col, idx)(rids), sip.target_alias, spec, ctx)
+        idx = (self.catalog.rid_index(*action.index_key)
+               if action.kind == "index" else None)
+        self._pass_rids(_via(col, idx)(rids), action.target_alias, spec, ctx)
 
-    def _run(self, node: PlanNode, spec: QuerySpec, needed: dict[str, set[str]],
-             ctx: _Ctx) -> DataFrame:
+    def _compile(self, node: PlanNode, spec: QuerySpec, needed: dict[str, set[str]],
+                 ctx: _Ctx) -> str:
+        """SQL text of the relation ``node`` computes, with one ``alias__col``
+        column per column a scan emits."""
         if isinstance(node, ScanNode):
-            return self._scan(node, spec, needed, ctx)
+            return self._scan(node, needed, ctx)
         if isinstance(node, MergeJoinNode):
-            return self._run_merge(node, spec, needed, ctx)
+            return self._merge(node, spec, needed, ctx)
         assert isinstance(node, JoinNode)
         build_child = node.left if node.build == "left" else node.right
         probe_child = node.right if node.build == "left" else node.left
-        df_build = self._run(build_child, spec, needed, ctx)
+        build = self._compile(build_child, spec, needed, ctx)
         if node.sips:
             sets = self._subtree_sets(build_child, spec, ctx)
             for s in node.sips:
                 self._register_sip(s, sets, spec, ctx)
-        df_probe = self._run(probe_child, spec, needed, ctx)
+        probe = self._compile(probe_child, spec, needed, ctx)
+        left, right = (build, probe) if node.build == "left" else (probe, build)
+        hint = ""
         if build_child.est_rows <= BROADCAST_MAX_ROWS:
-            df_build = F.broadcast(df_build)
-        df_l, df_r = (
-            (df_build, df_probe) if node.build == "left" else (df_probe, df_build)
-        )
-        cond = None
-        for (la, lc), (ra, rc) in node.conds:
-            c = F.col(f"{la}__{lc}") == F.col(f"{ra}__{rc}")
-            cond = c if cond is None else (cond & c)
-        return df_l.join(df_r, cond, "inner")
+            hint = f"/*+ BROADCAST({'l' if node.build == 'left' else 'r'}) */ "
+        on = " AND ".join(f"`{la}__{lc}` = `{ra}__{rc}`"
+                          for (la, lc), (ra, rc) in node.conds)
+        return f"(SELECT {hint}* FROM {left} AS l JOIN {right} AS r ON {on})"
 
-    def _run_merge(self, node: MergeJoinNode, spec: QuerySpec,
-                   needed: dict[str, set[str]], ctx: _Ctx) -> DataFrame:
-        df_build = self._run(node.build, spec, needed, ctx)
-        p1_rid_col = f"{node.p1_alias}__{RID}"
+    def _merge(self, node: MergeJoinNode, spec: QuerySpec,
+               needed: dict[str, set[str]], ctx: _Ctx) -> str:
+        build = self._compile(node.build, spec, needed, ctx)
         sets = self._subtree_sets(node.build, spec, ctx)
         p1_rids = sets.get(node.p1_alias)
         if p1_rids is None:
@@ -279,7 +314,7 @@ class PlanExecutor:
         # The relationship table is never scanned — record it explicitly.
         ctx.metrics.scanned[node.f_alias] = 0
         ctx.metrics.table_rows[node.f_alias] = self.catalog.table(node.f_table).n_rows
-        df_probe = self._run(node.probe, spec, needed, ctx)
+        probe = self._compile(node.probe, spec, needed, ctx)
         pairs_schema = StructType(
             [StructField("__m_p1", LongType()), StructField("__m_p2", LongType())]
         )
@@ -288,36 +323,35 @@ class PlanExecutor:
         # broadcast it (the analogue of the index lookups feeding SJoinIdxM),
         # then broadcast ``build ⋈ pairs`` as the build of the join with the
         # probe subtree, which streams through unshuffled.
-        broadcast = len(pairs) <= BROADCAST_MAX_ROWS
-        if broadcast:
-            df_pairs = F.broadcast(df_pairs)
-        df_build = df_build.join(df_pairs, F.col(p1_rid_col) == F.col("__m_p1"), "inner")
-        if broadcast:
-            df_build = F.broadcast(df_build)
-        return (
-            df_build.join(df_probe, F.col("__m_p2") == F.col(f"{node.p2_alias}__{RID}"),
-                          "inner")
-            .drop("__m_p1", "__m_p2")
+        hint_m = hint_b = ""
+        if len(pairs) <= BROADCAST_MAX_ROWS:
+            hint_m, hint_b = "/*+ BROADCAST(m) */ ", "/*+ BROADCAST(b) */ "
+        built = (f"(SELECT {hint_m}* FROM {build} AS b JOIN {ctx.arg(df_pairs)} AS m "
+                 f"ON `{node.p1_alias}__{RID}` = `__m_p1`)")
+        # Name the columns, leaving out the pairs', so that an enclosing
+        # SJoinIdxM's own ``__m_p1`` / ``__m_p2`` stay unambiguous.
+        cols = ", ".join(
+            f"`{s.alias}__{c}`"
+            for s in scans_of(node.build) + scans_of(node.probe)
+            for c in _scan_cols(self.catalog.table(s.table), s.alias, needed)
         )
+        return (f"(SELECT {hint_b}{cols} FROM {built} AS b JOIN {probe} AS r "
+                f"ON `__m_p2` = `{node.p2_alias}__{RID}`)")
 
 
-def finish(df: DataFrame, spec: QuerySpec) -> DataFrame:
-    """Residual filters, projection / aggregation, distinct — shared by the
-    relational and the INLJ executors."""
+def finish(spark: SparkSession, spec: QuerySpec, body: str,
+           args: dict[str, DataFrame]) -> DataFrame:
+    """The one statement of an execution: residual filters, projection /
+    aggregation and distinct over ``body``, the SQL text of the joined
+    ``alias__col`` relation whose DataFrames are the named ``args``. Shared by
+    the relational and the INLJ executors."""
     al = spec.aliases
-    for f in spec.residual_filters():
-        df = df.filter(F.expr(qualify(f, al)))
-    sel = [(qualify(e, al), o) for e, o in spec.select]
-    if spec.group_by is None:
-        out = df.select([F.expr(e).alias(o) for e, o in sel])
-        if spec.distinct:
-            out = out.distinct()
-        return out
-    keys = [(e, o) for (e, o) in sel if o in spec.group_by]
-    aggs = [(e, o) for (e, o) in sel if o not in spec.group_by]
-    if not keys:
-        return df.agg(*[F.expr(e).alias(o) for e, o in aggs])
-    grouped = df.groupBy([F.expr(e).alias(o) for e, o in keys]).agg(
-        *[F.expr(e).alias(o) for e, o in aggs]
-    )
-    return grouped.select([F.col(o) for _, o in sel])
+    sel = [(_esc(qualify(e, al)), o) for e, o in spec.select]
+    head = "SELECT DISTINCT" if spec.distinct and spec.group_by is None else "SELECT"
+    sql = f"{head} {', '.join(f'{e} AS `{o}`' for e, o in sel)} FROM {body} AS q"
+    residual = spec.residual_filters()
+    if residual:
+        sql += " WHERE " + " AND ".join(f"({_esc(qualify(f, al))})" for f in residual)
+    if spec.group_by:
+        sql += " GROUP BY " + ", ".join(e for e, o in sel if o in spec.group_by)
+    return _sql(spark, sql, args)

@@ -283,6 +283,6 @@ class GraphExecutor:
                 df = df.filter(
                     F.col(f"{e.left_alias}__{lc}") == F.col(f"{e.right_alias}__{rc}")
                 )
-        out = finish(df, spec)
+        out = finish(self.spark, spec, "{inlj}", {"inlj": df})
         result = out.toPandas() if collect else None
         return ExecOutcome(result=result, metrics=metrics, df=None if collect else out)

@@ -5,6 +5,8 @@ import pandas as pd
 import pytest
 
 from repro.core.catalog import RID, Catalog, rid_col_name
+from repro.plan.spec import QuerySpec, TableRef
+from tests.util import oracle_check
 
 
 @pytest.fixture()
@@ -253,3 +255,22 @@ def test_unpersist_closes_the_connection(spark):
     c.unpersist()
     with pytest.raises(duckdb.ConnectionException):
         c.scan_rids("f", "f", ["f.w > 1"])
+
+
+def test_catalogs_in_one_session_scan_their_own_tables(spark, follows_cat, snb_cat):
+    # Both catalogs have a ``person`` table; each scan reads its own.
+    spec = QuerySpec(name="people", tables=[TableRef("p", "person")], joins=[],
+                     select=[("count(*)", "n")], group_by=[])
+    for c in (follows_cat, snb_cat):
+        out = oracle_check(spark, c, spec, "DuckDB")
+        assert out.df.toPandas()["n"].tolist() == [c.table("person").n_rows]
+
+
+def test_unpersist_drops_the_views(spark):
+    c = Catalog(spark)
+    _register_pair(c)
+    c.finalize()
+    views = [c.table(name).view for name in ("p", "f")]
+    assert all(spark.catalog.tableExists(v) for v in views)
+    c.unpersist()
+    assert not any(spark.catalog.tableExists(v) for v in views)

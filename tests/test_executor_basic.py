@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.catalog import Catalog
 from repro.plan.spec import JoinEdge, QuerySpec, TableRef
-from tests.util import RELATIONAL_MODES, oracle_check, run_system
+from tests.util import ALL_SYSTEMS, RELATIONAL_MODES, oracle_check, run_system
 
 
 @pytest.fixture(scope="module")
@@ -158,3 +158,18 @@ def test_metrics_table_rows(spark, mini_cat):
     out = run_system(spark, mini_cat, _spec(), "DuckDB", collect=True)
     assert out.metrics.table_rows == {"d": 40, "f": 800}
     assert out.metrics.total_scanned == 840
+
+
+@pytest.mark.parametrize("system", ALL_SYSTEMS)
+def test_braces_in_spec_text(spark, follows_cat, system):
+    # The statement is formatted by ``spark.sql`` when it has DataFrame
+    # arguments: braces and ``alias.col`` text inside literals stay literal.
+    spec = QuerySpec(
+        name="braces",
+        tables=[TableRef("p", "person"), TableRef("f", "follows")],
+        joins=[JoinEdge.of("f.ID1", "p.ID")],
+        filters=["concat(p.name, '{') <> 'Karim{'", "p.name <> '}{p.x}'",
+                 "p.name <> '{f.year}' AND f.year > 2019"],
+        select=[("concat(p.name, '{p.x}')", "tagged"), ("f.year", "year")],
+    )
+    oracle_check(spark, follows_cat, spec, system)

@@ -1,28 +1,27 @@
 """Physical joins: every plan join runs as a Spark broadcast hash join that
 builds on the plan's build side, in every system mode, up to
-``BROADCAST_MAX_ROWS``; above it Catalyst's own join runs instead."""
+``BROADCAST_MAX_ROWS``; above it Catalyst's own join runs instead. Catalyst
+keeps the plan's join order: it does not reorder hinted joins."""
 import re
 
 import pytest
 
 import repro.exec.executor as executor
-from repro.bench.workloads_snb import specs
+from repro.bench import workloads_job, workloads_snb, workloads_tpch
+from repro.core.catalog import RID
 from repro.core.rewrite import CONFIGS
 from repro.exec.executor import PlanExecutor
-from repro.plan.nodes import JoinNode, MergeJoinNode, ScanNode, joins_of
-from repro.plan.spec import JoinEdge, QuerySpec, TableRef
-from tests.util import RELATIONAL_MODES, assert_oracle
+from repro.plan.nodes import JoinNode, MergeJoinNode, PlanNode, ScanNode, joins_of
+from repro.plan.spec import JoinEdge, QuerySpec, TableRef, qualify
+from tests.util import RELATIONAL_MODES, assert_oracle, executed_joins
 
 SNB_QUERIES = ["IS3", "IC1-1", "IC6-1"]
-_OP = re.compile(r"^[\s:|+\-]*(?:\*\(\d+\)\s*)?(\w+)(.*)$")
-
-
-def _joins(df) -> list[tuple[str, str]]:
-    """(operator, rest of line) of every join in the physical plan Catalyst
-    chose, read before the action so adaptive execution has not replanned."""
-    plan = df._jdf.queryExecution().executedPlan().toString()
-    return [(m[1], m[2]) for m in map(_OP.match, plan.splitlines())
-            if m and m[1].endswith("Join")]
+# workload -> (its specs, the session catalog its workload tests run on)
+WORKLOADS = {
+    "snb": (workloads_snb.specs, "snb_cat"),
+    "job": (workloads_job.specs, "imdb_cat"),
+    "tpch": (workloads_tpch.specs, "tpch_cat"),
+}
 
 
 @pytest.mark.parametrize("build", ["left", "right"])
@@ -39,7 +38,7 @@ def test_hash_join_builds_on_plan_side(spark, follows_cat, build):
                     conds=[(("p", "ID"), ("f", "ID1"))], build=build)
     out = PlanExecutor(spark, follows_cat).execute_plan(
         spec, plan, cfg=CONFIGS["DuckDB"], collect=False)
-    joins = _joins(out.df)
+    joins = executed_joins(out.df)
     assert [op for op, _ in joins] == ["BroadcastHashJoin"]
     assert f"Build{build.capitalize()}" in joins[0][1]
     assert_oracle(follows_cat, spec, out)
@@ -48,12 +47,12 @@ def test_hash_join_builds_on_plan_side(spark, follows_cat, build):
 @pytest.mark.parametrize("mode", RELATIONAL_MODES)
 @pytest.mark.parametrize("qname", SNB_QUERIES)
 def test_snb_joins_are_broadcast_hash_joins(spark, snb_cat, qname, mode):
-    spec = specs()[qname]
+    spec = workloads_snb.specs()[qname]
     ex = PlanExecutor(spark, snb_cat)
     nodes = joins_of(ex.build_plan(spec, mode))
     n_hash = sum(isinstance(j, JoinNode) for j in nodes)
     n_merge = sum(isinstance(j, MergeJoinNode) for j in nodes)
-    ops = [op for op, _ in _joins(ex.execute(spec, mode, collect=False).df)]
+    ops = [op for op, _ in executed_joins(ex.execute(spec, mode, collect=False).df)]
     assert "SortMergeJoin" not in ops and "ShuffledHashJoin" not in ops
     # SJoinIdxM is two joins: build ⋈ pairs, then that ⋈ probe.
     assert ops.count("BroadcastHashJoin") == n_hash + 2 * n_merge
@@ -66,9 +65,57 @@ def test_snb_joins_are_broadcast_hash_joins(spark, snb_cat, qname, mode):
 def test_above_cap_falls_back_to_catalyst_join(spark, snb_cat, qname, mode,
                                                monkeypatch):
     monkeypatch.setattr(executor, "BROADCAST_MAX_ROWS", -1)
-    spec = specs()[qname]
+    spec = workloads_snb.specs()[qname]
     out = PlanExecutor(spark, snb_cat).execute(spec, mode, collect=False)
-    ops = [op for op, _ in _joins(out.df)]
+    ops = [op for op, _ in executed_joins(out.df)]
     # The session disables automatic broadcasts, so no join broadcasts.
     assert ops and "BroadcastHashJoin" not in ops
     assert_oracle(snb_cat, spec, out)
+
+
+def _plan_joins(node: PlanNode) -> list[tuple[list[tuple[str, str]], str]]:
+    """Key pairs and build side of the broadcast hash joins ``node`` should
+    run, in ``executed_joins`` order: a join before its left, then right,
+    child."""
+    if isinstance(node, ScanNode):
+        return []
+    if isinstance(node, JoinNode):
+        keys = [(f"{la}__{lc}", f"{ra}__{rc}") for (la, lc), (ra, rc) in node.conds]
+        return ([(keys, "BuildLeft" if node.build == "left" else "BuildRight")]
+                + _plan_joins(node.left) + _plan_joins(node.right))
+    # SJoinIdxM: (build ⋈ pairs) ⋈ probe, each building on its left input's side.
+    return ([([("__m_p2", f"{node.p2_alias}__{RID}")], "BuildLeft"),
+             ([(f"{node.p1_alias}__{RID}", "__m_p1")], "BuildRight")]
+            + _plan_joins(node.build) + _plan_joins(node.probe))
+
+
+_BHJ = re.compile(r"\[(.*?)\], \[(.*?)\], Inner, (Build\w+)")
+
+
+@pytest.mark.parametrize("mode", RELATIONAL_MODES)
+@pytest.mark.parametrize("workload,qname", [
+    (w, q) for w, (specs_of, _) in WORKLOADS.items() for q in specs_of()])
+def test_executed_joins_follow_the_plan(spark, request, workload, qname, mode):
+    specs_of, cat_fixture = WORKLOADS[workload]
+    cat = request.getfixturevalue(cat_fixture)
+    spec = specs_of()[qname]
+    ex = PlanExecutor(spark, cat)
+    plan = ex.build_plan(spec, mode)
+    # Plan building only: the executed plan is read without running an action.
+    df = ex.execute_plan(spec, plan, CONFIGS[mode], collect=False).df
+    got, want = executed_joins(df), _plan_joins(plan)
+    if want and not got:
+        # An empty SIP set (``WHERE false``) lets Catalyst drop the joins.
+        plan_text = df._jdf.queryExecution().executedPlan().toString()
+        assert "LocalTableScan <empty>" in plan_text
+        return
+    assert [op for op, _ in got] == ["BroadcastHashJoin"] * len(want)
+    # Catalyst adds a residual equality filter to the join it sits on as a key.
+    residual_keys = {frozenset(qualify(f, spec.aliases).split(" = "))
+                     for f in spec.residual_filters()}
+    for (_, rest), (keys, side) in zip(got, want):
+        left, right, build = _BHJ.match(rest).groups()
+        pairs = list(zip(left.split(", "), right.split(", ")))
+        assert build == side
+        assert [k for k in pairs if k in keys] == keys
+        assert {frozenset(k) for k in pairs if k not in keys} <= residual_keys

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.bitmask import SemiJoinMasks
 from repro.core.catalog import Catalog
+from repro.exec import sip
 from repro.exec.sip import apply_sip_filter
 from repro.plan.spec import JoinEdge, QuerySpec, TableRef
 from tests.util import oracle_check, run_system
@@ -89,9 +90,9 @@ def test_no_selective_filter_no_overhead_in_result(spark, sip_cat):
     oracle_check(spark, sip_cat, spec, "DuckDB")
 
 
-def test_two_sips_intersect_on_one_scan(spark, sip_cat):
+def _two_sip_spec():
     # Two F aliases both pass masks to the same P scan.
-    spec = QuerySpec(
+    return QuerySpec(
         name="two_sip",
         tables=[TableRef("p", "p"), TableRef("f1", "f"), TableRef("f2", "f")],
         joins=[JoinEdge.of("f1.fk", "p.k"), JoinEdge.of("f2.fk", "p.k")],
@@ -99,5 +100,19 @@ def test_two_sips_intersect_on_one_scan(spark, sip_cat):
         select=[("count(*)", "cnt")],
         group_by=[],
     )
-    out = oracle_check(spark, sip_cat, spec, "GRainDB")
+
+
+def test_two_sips_intersect_on_one_scan(spark, sip_cat):
+    out = oracle_check(spark, sip_cat, _two_sip_spec(), "GRainDB")
     assert out.metrics.scanned["p"] <= sip_cat.table("p").n_rows
+
+
+@pytest.mark.parametrize(
+    "spec", [_spec(["f.v < 10"]), _spec(["p.k = 7"]), _two_sip_spec()],
+    ids=["sjoin", "sjoin_idxr", "two_sip"])
+def test_bitmask_scansj_through_the_executor(spark, sip_cat, spec, monkeypatch):
+    # With both gates at 0 every non-empty mask is applied as the bitmask pass.
+    monkeypatch.setattr(sip, "APPLY_MIN_PRUNED_ROWS", 0)
+    monkeypatch.setattr(sip, "ISIN_MAX", 0)
+    out = oracle_check(spark, sip_cat, spec, "GRainDB")
+    assert "MapInPandas" in out.df._jdf.queryExecution().executedPlan().toString()
