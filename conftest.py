@@ -29,8 +29,8 @@ def spark() -> SparkSession:
     (shuffle partitions, Arrow, broadcast threshold) are set here.
     Automatic broadcast joins are disabled, so every join Catalyst picks on
     its own is a shuffle join; the executor asks for a broadcast hash join
-    with an explicit ``F.broadcast`` hint on the build side, which wins over
-    the threshold.
+    with an explicit ``/*+ BROADCAST(…) */`` hint on the build side, which
+    wins over the threshold.
     """
     s = (
         SparkSession.builder.appName("repro")

@@ -1,15 +1,1 @@
 """Core GRainDB machinery: catalog/storage, RID indices, bitmasks, rewrite rules."""
-from repro.core.bitmask import SemiJoinMasks
-from repro.core.catalog import Catalog, Table, PredefinedJoin
-from repro.core.rid_index import RIDIndex
-from repro.core.rewrite import GrainConfig, rewrite_plan
-
-__all__ = [
-    "SemiJoinMasks",
-    "Catalog",
-    "Table",
-    "PredefinedJoin",
-    "RIDIndex",
-    "GrainConfig",
-    "rewrite_plan",
-]

@@ -1,13 +1,1 @@
 """Synthetic dataset generators + catalog builders for the three benchmarks."""
-from repro.data.snb import snb_catalog, snb_tables
-from repro.data.imdb import imdb_catalog, imdb_tables
-from repro.data.tpch import tpch_catalog, tpch_tables
-
-__all__ = [
-    "snb_tables",
-    "snb_catalog",
-    "imdb_tables",
-    "imdb_catalog",
-    "tpch_tables",
-    "tpch_catalog",
-]

@@ -1,6 +1,2 @@
 """Plan execution on Spark: hash joins, SJoin variants with SIP, and the
 GDBMS-style index-nested-loop-join executor."""
-from repro.exec.executor import ExecOutcome, PlanExecutor
-from repro.exec.inlj import GraphExecutor
-
-__all__ = ["PlanExecutor", "ExecOutcome", "GraphExecutor"]

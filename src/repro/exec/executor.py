@@ -5,9 +5,11 @@ catalog's temp views and runs it with a single ``spark.sql`` call, so Spark
 parses and analyses the whole query once. A scan is a subquery that renames
 every column to ``alias__col`` and applies the spec's filter text verbatim; a
 join is a hinted ``JOIN`` of its children; ``finish`` is the outer
-``SELECT [DISTINCT] … WHERE <residuals> GROUP BY …``. The few relations that
-are not text (SJoinIdxM's index pairs, a ScanSJ scan with its SIP filter
-applied) enter the statement as named ``spark.sql`` DataFrame arguments.
+``SELECT [DISTINCT] … WHERE <residuals> GROUP BY …``. An applied ScanSJ is
+text in its scan too (``repro.exec.sip``). The only relations that are not
+text are the ones the driver computes, SJoinIdxM's index pairs and a ScanSJ
+RID set too large for an ``IN`` list; ``_Ctx.relation`` builds both, and they
+enter the statement as named ``spark.sql`` DataFrame arguments.
 
 Compilation mirrors hash-join pipeline semantics: for every SJoin variant the
 build subtree's RID sets are determined first, masks are registered for the
@@ -64,7 +66,8 @@ from repro.plan.spec import QuerySpec, qualify
 # Largest build side, in rows, that is broadcast as a hash-join build: the
 # optimizer's estimate for a join's build child, the exact count of an
 # SJoinIdxM pairs relation. A larger one would ship a giant broadcast, so it
-# falls back to Catalyst's shuffle join.
+# falls back to Catalyst's shuffle join. A ScanSJ RID set above it is not
+# applied at all (the RID equi-join enforces the same predicate).
 BROADCAST_MAX_ROWS = 2_000_000
 
 
@@ -93,7 +96,8 @@ class ExecOutcome:
 
 
 class _Ctx:
-    def __init__(self, cfg: GrainConfig) -> None:
+    def __init__(self, spark: SparkSession, cfg: GrainConfig) -> None:
+        self.spark = spark
         self.cfg = cfg
         self.masks: dict[str, SemiJoinMasks] = {}
         # alias -> Catalog.scan_rids result, so a scan under several SJoin
@@ -109,17 +113,19 @@ class _Ctx:
         self.args[name] = df
         return f"{{{name}}}"
 
+    def relation(self, cols: dict[str, np.ndarray]) -> str:
+        """Reference to a relation the driver built from ``cols``, in one
+        partition. Its columns are ``long`` by schema, so an empty relation
+        has one too."""
+        schema = StructType([StructField(c, LongType()) for c in cols])
+        return self.arg(self.spark.createDataFrame(pd.DataFrame(cols), schema=schema)
+                        .coalesce(1))
+
 
 def _esc(text: str) -> str:
     """Spec text as statement text: ``spark.sql`` formats a statement that has
     named arguments with ``str.format``, so literal braces are doubled."""
     return text.replace("{", "{{").replace("}", "}}")
-
-
-def _sql(spark: SparkSession, text: str, args: dict[str, DataFrame]) -> DataFrame:
-    """Run statement ``text`` (braces escaped, DataFrames referenced as
-    ``{name}``) with its named DataFrame ``args``."""
-    return spark.sql(text, **args) if args else spark.sql(text.format())
 
 
 def _scan_cols(t: Table, alias: str, needed: dict[str, set[str]]) -> list[str]:
@@ -192,7 +198,7 @@ class PlanExecutor:
 
     def execute_plan(self, spec: QuerySpec, plan: PlanNode,
                      cfg: GrainConfig = GRAIN_FULL, collect: bool = True) -> ExecOutcome:
-        ctx = _Ctx(cfg)
+        ctx = _Ctx(self.spark, cfg)
         ctx.metrics.plan = describe(plan)
         body = self._compile(plan, spec, _plan_needed(spec, plan), ctx)
         df = finish(self.spark, spec, body, ctx.args)
@@ -201,29 +207,35 @@ class PlanExecutor:
 
     # ----------------------------------------------------------- node logic
     def _scan(self, node: ScanNode, needed: dict[str, set[str]], ctx: _Ctx) -> str:
+        """SQL text of a scan: the columns it emits, renamed ``alias__col``,
+        the spec's filters on it, and the ScanSJ of the mask registered for it
+        when ``sip.should_apply`` finds that worth applying and its RID set
+        fits under ``BROADCAST_MAX_ROWS``."""
         t = self.catalog.table(node.table)
         cols = _scan_cols(t, node.alias, needed)
         missing = [c for c in cols if c not in t.pdf.columns]
         if missing:
             raise KeyError(f"{node.table} has no columns {missing}")
         a = node.alias
-        sql = (f"SELECT {', '.join(f'`{a}`.`{c}` AS `{a}__{c}`' for c in cols)} "
-               f"FROM `{t.view}` AS `{a}`")
-        if node.filters:
-            sql += " WHERE " + " AND ".join(f"({_esc(f)})" for f in node.filters)
+        source = f"`{t.view}` AS `{a}`"
+        where = [f"({_esc(f)})" for f in node.filters]
         ctx.metrics.table_rows[a] = t.n_rows
         masks = ctx.masks.get(a)
-        if masks is None:
-            ctx.metrics.scanned[a] = t.n_rows
-            return f"({sql})"
-        ctx.metrics.scanned[a] = masks.rows_in_active_zones()
-        # A near-full mask is never worth applying: the RID equi-join enforces
-        # the same predicate, so skipping is correctness-neutral (the paper's
-        # "no major overheads" property).
-        if not sip.should_apply(masks):
-            return f"({sql})"
-        df = _sql(self.spark, sql, {})
-        return ctx.arg(sip.apply_sip_filter(self.spark, df, f"{a}__{RID}", masks))
+        ctx.metrics.scanned[a] = t.n_rows if masks is None else masks.rows_in_active_zones()
+        # A near-full mask is never worth applying, nor is a RID set too large
+        # to broadcast: the RID equi-join enforces the same predicate, so
+        # skipping is correctness-neutral (the paper's "no major overheads"
+        # property).
+        if (masks is not None and sip.should_apply(masks)
+                and masks.selected_rows() <= BROADCAST_MAX_ROWS):
+            source, cond = sip.apply_sip_filter(ctx.relation, source, a, masks)
+            if cond:
+                where.append(cond)
+        sql = (f"SELECT {', '.join(f'`{a}`.`{c}` AS `{a}__{c}`' for c in cols)} "
+               f"FROM {source}")
+        if where:
+            sql += " WHERE " + " AND ".join(where)
+        return f"({sql})"
 
     def _subtree_sets(self, subtree: PlanNode, spec: QuerySpec,
                       ctx: _Ctx) -> dict[str, np.ndarray | None]:
@@ -309,24 +321,20 @@ class PlanExecutor:
             )
         idx = self.catalog.rid_index(*node.index_key)
         src, _f, dst = idx.pairs(p1_rids)
-        pairs = pd.DataFrame({"__m_p1": src, "__m_p2": dst})
         self._pass_rids(np.unique(dst), node.p2_alias, spec, ctx)
         # The relationship table is never scanned — record it explicitly.
         ctx.metrics.scanned[node.f_alias] = 0
         ctx.metrics.table_rows[node.f_alias] = self.catalog.table(node.f_table).n_rows
         probe = self._compile(node.probe, spec, needed, ctx)
-        pairs_schema = StructType(
-            [StructField("__m_p1", LongType()), StructField("__m_p2", LongType())]
-        )
-        df_pairs = self.spark.createDataFrame(pairs, schema=pairs_schema).coalesce(1)
+        pairs = ctx.relation({"__m_p1": src, "__m_p2": dst})
         # The pairs relation comes straight out of the in-memory RID index, so
         # broadcast it (the analogue of the index lookups feeding SJoinIdxM),
         # then broadcast ``build ⋈ pairs`` as the build of the join with the
         # probe subtree, which streams through unshuffled.
         hint_m = hint_b = ""
-        if len(pairs) <= BROADCAST_MAX_ROWS:
+        if len(src) <= BROADCAST_MAX_ROWS:
             hint_m, hint_b = "/*+ BROADCAST(m) */ ", "/*+ BROADCAST(b) */ "
-        built = (f"(SELECT {hint_m}* FROM {build} AS b JOIN {ctx.arg(df_pairs)} AS m "
+        built = (f"(SELECT {hint_m}* FROM {build} AS b JOIN {pairs} AS m "
                  f"ON `{node.p1_alias}__{RID}` = `__m_p1`)")
         # Name the columns, leaving out the pairs', so that an enclosing
         # SJoinIdxM's own ``__m_p1`` / ``__m_p2`` stay unambiguous.
@@ -354,4 +362,4 @@ def finish(spark: SparkSession, spec: QuerySpec, body: str,
         sql += " WHERE " + " AND ".join(f"({_esc(qualify(f, al))})" for f in residual)
     if spec.group_by:
         sql += " GROUP BY " + ", ".join(e for e, o in sel if o in spec.group_by)
-    return _sql(spark, sql, args)
+    return spark.sql(sql, **args) if args else spark.sql(sql.format())

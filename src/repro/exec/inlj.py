@@ -16,9 +16,8 @@ tuple, intermediate tuples are materialized *before* edge filters run);
 property reads are RID joins against the full base table — never SIP-pruned,
 which is the structural disadvantage the paper measures against.
 
-The binding order is auto-derived greedily (seed = most selective node, then
-cheapest extension), with ``spec.graph_seed`` / ``spec.graph_order`` overrides
-mirroring the paper's hand-picked GraphflowDB orders.
+The binding order is derived greedily: seed = most selective node, then the
+cheapest extension.
 """
 from __future__ import annotations
 
@@ -58,11 +57,10 @@ class _Bind:
 
 def _derive_order(spec: QuerySpec, catalog: Catalog) -> list[_Bind]:
     cards = filtered_cardinalities(spec, catalog)
-    seed = spec.graph_seed or min(sorted(spec.aliases), key=lambda a: cards[a])
+    seed = min(sorted(spec.aliases), key=lambda a: cards[a])
     binds = [_Bind(alias=seed, kind="scan")]
     bound = {seed}
     consumed: set[int] = set()
-    forced = list(spec.graph_order) if spec.graph_order else None
 
     def edge_id(e: JoinEdge) -> int:
         return spec.joins.index(e)
@@ -117,12 +115,6 @@ def _derive_order(spec: QuerySpec, catalog: Catalog) -> list[_Bind]:
                     )
         if not candidates:
             raise ValueError(f"cannot derive a graph plan for {spec.name}")
-        if forced:
-            nxt = next(a for a in forced if a not in bound)
-            pool = [c for c in candidates if c[1] == nxt]
-            if not pool:
-                raise ValueError(f"graph_order alias {nxt} not reachable in {spec.name}")
-            candidates = pool
         _, _, chosen = min(candidates, key=lambda c: (c[0], c[1]))
         binds.append(chosen)
         bound.add(chosen.alias)

@@ -2,40 +2,45 @@
 
 The information passed sideways is the exact set of probe-side RIDs seen on
 the build side (dense integers — no hashing, no false positives, unlike
-Bloom-filter SIP). The semijoin is a narrow filter on the scan, like the
-paper's selection-vector scan rather than a shuffle join:
+Bloom-filter SIP). ScanSJ is statement text in the scan itself:
 
-- small RID sets become an ``IN <set>`` predicate on the scan (Catalyst
-  compiles it to an ``InSet`` hash-set probe per row);
-- larger sets are broadcast as a packed row bitmap and applied per Arrow batch
-  inside ``mapInPandas`` (no extra stage, no shuffle of the scanned table);
-- masks that prune too few rows to pay for that pass are not applied at all
+- a small RID set becomes an ``IN (…)`` conjunct of the scan's ``WHERE``
+  (Catalyst compiles it to an ``InSet`` hash-set probe per row); an empty set
+  becomes ``FALSE``;
+- a larger set becomes a ``LEFT SEMI JOIN`` of the scan with a one-column
+  relation of the selected RIDs, hinted ``BROADCAST``: a hash-set probe per
+  row again, with no shuffle of the scanned table;
+- masks that prune too few rows to pay for either are not applied at all
   (``should_apply``) — the RID equi-join enforces the same predicate anyway,
   so skipping preserves correctness and mirrors the paper's "minor overheads
-  only" behaviour.
+  only" behaviour. The executor likewise skips a set too large to broadcast
+  (``executor.BROADCAST_MAX_ROWS``).
 
 Zone-skipping is accounted in ``SemiJoinMasks.rows_in_active_zones`` (the
 scanned-tuple metric of Table 4).
 """
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.core.bitmask import SemiJoinMasks
+from repro.core.catalog import RID
 
-# Below this many RIDs an InSet predicate beats the bitmask pass. Kept small:
-# the literal list crosses the py4j bridge element by element (~0.4 ms per
-# literal of driver time), so anything larger is cheaper as a bitmask.
+# Up to this many RIDs the set is an ``IN`` list in the scan's text, above it
+# a broadcast RID relation: parse and plan time per literal against the fixed
+# cost of building and broadcasting a relation. The value predates the RID
+# relation and is kept so that the ScanSJ decisions and plans stay the same.
 ISIN_MAX = 64
-# A broadcast semi-join filter costs a fixed ~hundreds of ms on a local
-# cluster regardless of size; it pays for itself only when it actually keeps
-# a large number of rows out of the probe side streamed through the
-# downstream hash joins. (The RID equi-join enforces the same predicate
+# Applying a large RID set costs building and broadcasting its relation and a
+# hash probe per scanned row; it pays for itself only when it keeps a large
+# number of rows out of the probe side streamed through the downstream hash
+# joins. (The RID equi-join enforces the same predicate
 # anyway, so skipping never changes results — this is an ordinary cost-based
 # decision, like a real system deciding whether a semijoin reducer is worth
-# it.)
+# it.) Kept at the value measured for the earlier bitmap pass, so the
+# decisions stay the same; re-deriving it needs a workload where masks apply.
 APPLY_MIN_PRUNED_ROWS = 300_000
 
 
@@ -43,37 +48,27 @@ def should_apply(masks: SemiJoinMasks) -> bool:
     sel = masks.selected_rows()
     if sel <= ISIN_MAX:
         return True  # cheap scan predicate, no overhead to speak of
-    # The bitmask pass costs an Arrow round-trip over the scanned columns;
-    # apply it only when it keeps a large volume out of the downstream hash
-    # joins' probe pipeline. Skipping never changes results (the RID equi-join
-    # enforces the same predicate).
+    # Apply the semi-join only when it keeps a large volume out of the
+    # downstream hash joins' probe pipeline. Skipping never changes results
+    # (the RID equi-join enforces the same predicate).
     return (masks.n_rows - sel) >= APPLY_MIN_PRUNED_ROWS
 
 
-def apply_sip_filter(
-    spark: SparkSession, df: DataFrame, rid_col: str, masks: SemiJoinMasks
-) -> DataFrame:
-    """Filter ``df`` to the rows whose RID bit is set (the semijoin P ⋉ F).
-
-    Small RID sets become an InSet predicate; larger masks are broadcast as a
-    packed bitmap and applied inside ``mapInPandas`` — a *narrow* per-batch
-    selection vector, exactly the paper's ScanSJ: no extra stage, no shuffle,
-    no hashing, cost independent of how many bits are set.
-    """
+def apply_sip_filter(relation: Callable[[dict[str, np.ndarray]], str], source: str,
+                     alias: str, masks: SemiJoinMasks) -> tuple[str, str | None]:
+    """ScanSJ (the semijoin P ⋉ F) on a scan of ``source``, the ``FROM`` item
+    that names the table ``alias``: the scan's new ``FROM`` item and an extra
+    ``WHERE`` conjunct (or ``None``) that keep exactly the rows whose RID bit
+    is set. ``relation`` turns columns of RIDs into a driver-built relation
+    and returns its reference in the statement."""
+    rid = f"`{alias}`.`{RID}`"
     rids = np.flatnonzero(masks.row)
     if rids.size == 0:
-        return df.where(F.lit(False))
+        return source, "FALSE"
     if rids.size <= ISIN_MAX:
-        return df.where(F.col(rid_col).isin([int(r) for r in rids]))
-    bc = spark.sparkContext.broadcast(np.packbits(masks.row))
-    schema = df.schema
-    n = masks.n_rows
-
-    def scan_sj(batches):
-        mask = np.unpackbits(bc.value, count=n).astype(bool)
-        for pdf in batches:
-            if len(pdf):
-                pdf = pdf[mask[pdf[rid_col].to_numpy(dtype=np.int64)]]
-            yield pdf
-
-    return df.mapInPandas(scan_sj, schema)
+        return source, f"{rid} IN ({', '.join(map(str, rids))})"
+    # The RID relation's alias extends the scan's, so it never equals it.
+    m = f"`{alias}__sip`"
+    return (f"(SELECT /*+ BROADCAST({m}) */ * FROM {source} "
+            f"LEFT SEMI JOIN {relation({RID: rids})} AS {m} "
+            f"ON {rid} = {m}.`{RID}`) AS `{alias}`"), None

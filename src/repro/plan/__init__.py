@@ -1,24 +1,1 @@
 """Query specs, physical plan nodes, and join-order optimization."""
-from repro.plan.spec import JoinEdge, QuerySpec, TableRef, qualify
-from repro.plan.nodes import JoinNode, MergeJoinNode, ScanNode, SipAction
-from repro.plan.optimizer import (
-    enumerate_left_deep_orders,
-    filtered_cardinalities,
-    greedy_plan,
-    plan_from_order,
-)
-
-__all__ = [
-    "JoinEdge",
-    "QuerySpec",
-    "TableRef",
-    "qualify",
-    "JoinNode",
-    "MergeJoinNode",
-    "ScanNode",
-    "SipAction",
-    "greedy_plan",
-    "plan_from_order",
-    "enumerate_left_deep_orders",
-    "filtered_cardinalities",
-]

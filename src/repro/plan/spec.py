@@ -90,10 +90,6 @@ class QuerySpec:
     ``group_by``: ``None`` → plain projection; a list of output names → those
     select entries are grouping keys and the rest must be aggregate
     expressions; ``[]`` → global aggregation.
-
-    ``graph_seed`` / ``graph_order`` optionally pin the INLJ (GDBMS-style)
-    executor's start node / binding order, mirroring the paper's hand-picked
-    GraphflowDB join orders.
     """
 
     name: str
@@ -103,8 +99,6 @@ class QuerySpec:
     select: list[tuple[str, str]] = field(default_factory=list)
     group_by: list[str] | None = None
     distinct: bool = False
-    graph_seed: str | None = None
-    graph_order: list[str] | None = None
 
     def __post_init__(self) -> None:
         seen = set()

@@ -1,7 +1,7 @@
 """Shared fixtures: tuned Spark conf and session-scoped tiny catalogs.
 
 Catalogs are built once per session at unit-test scale (thousands of rows) so
-the ~400 tests stay fast; every result-bearing test still goes through the
+the ~850 tests stay fast; every result-bearing test still goes through the
 DuckDB oracle.
 """
 import pandas as pd

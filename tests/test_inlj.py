@@ -1,5 +1,5 @@
-"""INLJ (GDBMS-style) executor tests: extends, lookups, property reads,
-binding-order overrides — oracle-checked against the same specs."""
+"""INLJ (GDBMS-style) executor tests: binding order, extends, lookups,
+property reads — oracle-checked against the same specs."""
 import pytest
 
 from repro.exec.inlj import GraphExecutor, _derive_order
@@ -29,21 +29,6 @@ def test_derive_order_extend_cobinds_dst(follows_cat):
     ext = [b for b in binds if b.kind == "extend"]
     assert len(ext) == 1 and ext[0].alias == "f" and ext[0].dst == "p2"
     assert ext[0].index_key == ("follows", ("ID1",))
-
-
-def test_graph_seed_override(follows_cat):
-    spec = _one_hop(graph_seed="p2")
-    binds = _derive_order(spec, follows_cat)
-    assert binds[0].alias == "p2"
-    # Reverse traversal uses the backward index (keyed by ID2).
-    ext = [b for b in binds if b.kind == "extend"][0]
-    assert ext.index_key == ("follows", ("ID2",))
-
-
-def test_graph_order_override(follows_cat):
-    spec = _one_hop(graph_seed="p1", graph_order=["f", "p2"])
-    binds = _derive_order(spec, follows_cat)
-    assert [b.alias for b in binds] == ["p1", "f"]  # p2 co-bound by the extend
 
 
 def test_inlj_one_hop_result(spark, follows_cat):

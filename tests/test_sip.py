@@ -1,42 +1,68 @@
 """SIP behavior tests: bitmask filters actually prune scans, results stay
 correct with/without SIP, multiple masks intersect (paper §4 Step 2)."""
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pandas as pd
 import pytest
 
+from repro.bench import workloads_snb
 from repro.core.bitmask import SemiJoinMasks
 from repro.core.catalog import Catalog
-from repro.exec import sip
+from repro.core.rewrite import GRAIN_FULL
+from repro.exec import executor, sip
+from repro.exec.executor import _Ctx
 from repro.exec.sip import apply_sip_filter
 from repro.plan.spec import JoinEdge, QuerySpec, TableRef
-from tests.util import oracle_check, run_system
+from tests.util import assert_oracle, executed_joins, oracle_check, run_system
 
 
-def test_apply_sip_filter_selects_rows(spark):
-    pdf = pd.DataFrame({"p___rid": np.arange(10, dtype=np.int64),
-                        "p__v": np.arange(10) * 2})
-    df = spark.createDataFrame(pdf)
+def _filtered(spark, pdf, masks):
+    """The scan of ``pdf`` as alias ``p`` with ScanSJ applied: its statement
+    text and result, through the executor's relation builder."""
+    spark.createDataFrame(pdf).createOrReplaceTempView("sip_p")
+    ctx = _Ctx(spark, GRAIN_FULL)
+    source, cond = apply_sip_filter(ctx.relation, "`sip_p` AS `p`", "p", masks)
+    sql = f"SELECT * FROM {source}" + (f" WHERE {cond}" if cond else "")
+    return sql, spark.sql(sql, **ctx.args) if ctx.args else spark.sql(sql)
+
+
+def test_apply_sip_filter_selects_rows(spark, monkeypatch):
+    pdf = pd.DataFrame({"_rid": np.arange(10, dtype=np.int64), "v": np.arange(10) * 2})
     masks = SemiJoinMasks.from_rids(np.array([1, 5, 9]), 10, 4)
-    got = apply_sip_filter(spark, df, "p___rid", masks).toPandas()
-    assert sorted(got["p___rid"]) == [1, 5, 9]
+    sql, df = _filtered(spark, pdf, masks)
+    assert sql == "SELECT * FROM `sip_p` AS `p` WHERE `p`.`_rid` IN (1, 5, 9)"
+    assert sorted(df.toPandas()["_rid"]) == [1, 5, 9]
+    # Above ISIN_MAX the same set is a broadcast semi-join on a RID relation.
+    monkeypatch.setattr(sip, "ISIN_MAX", 2)
+    sql, df = _filtered(spark, pdf, masks)
+    assert sql == ("SELECT * FROM (SELECT /*+ BROADCAST(`p__sip`) */ * FROM `sip_p` AS `p` "
+                   "LEFT SEMI JOIN {arg0} AS `p__sip` ON `p`.`_rid` = `p__sip`.`_rid`) AS `p`")
+    assert "LeftSemi, BuildRight" in df._jdf.queryExecution().executedPlan().toString()
+    assert sorted(df.toPandas()["_rid"]) == [1, 5, 9]
 
 
-def test_apply_sip_filter_empty_mask(spark):
-    pdf = pd.DataFrame({"p___rid": np.arange(5, dtype=np.int64)})
-    df = spark.createDataFrame(pdf)
+def test_apply_sip_filter_empty_mask(spark, monkeypatch):
+    pdf = pd.DataFrame({"_rid": np.arange(5, dtype=np.int64)})
     masks = SemiJoinMasks.from_rids(np.array([], dtype=np.int64), 5, 2)
-    assert apply_sip_filter(spark, df, "p___rid", masks).count() == 0
+    for isin_max in (64, 0):  # FALSE on either side of the IN-list limit
+        monkeypatch.setattr(sip, "ISIN_MAX", isin_max)
+        sql, df = _filtered(spark, pdf, masks)
+        assert sql == "SELECT * FROM `sip_p` AS `p` WHERE FALSE"
+        assert df.count() == 0
 
 
-def test_apply_sip_preserves_schema(spark):
-    pdf = pd.DataFrame({"p___rid": np.arange(4, dtype=np.int64),
-                        "p__s": ["a", "b", "c", "d"],
-                        "p__f": [0.1, 0.2, 0.3, 0.4]})
-    df = spark.createDataFrame(pdf)
+def test_apply_sip_preserves_schema(spark, monkeypatch):
+    pdf = pd.DataFrame({"_rid": np.arange(4, dtype=np.int64),
+                        "s": ["a", "b", "c", "d"],
+                        "f": [0.1, 0.2, 0.3, 0.4]})
     masks = SemiJoinMasks.from_rids(np.array([2]), 4, 2)
-    out = apply_sip_filter(spark, df, "p___rid", masks)
-    assert out.schema == df.schema
-    assert out.toPandas()["p__s"].tolist() == ["c"]
+    for isin_max in (64, 0):  # IN list, semi-join
+        monkeypatch.setattr(sip, "ISIN_MAX", isin_max)
+        _sql, df = _filtered(spark, pdf, masks)
+        assert df.schema == spark.table("sip_p").schema
+        assert df.toPandas()["s"].tolist() == ["c"]
 
 
 @pytest.fixture(scope="module")
@@ -108,11 +134,67 @@ def test_two_sips_intersect_on_one_scan(spark, sip_cat):
 
 
 @pytest.mark.parametrize(
-    "spec", [_spec(["f.v < 10"]), _spec(["p.k = 7"]), _two_sip_spec()],
-    ids=["sjoin", "sjoin_idxr", "two_sip"])
-def test_bitmask_scansj_through_the_executor(spark, sip_cat, spec, monkeypatch):
-    # With both gates at 0 every non-empty mask is applied as the bitmask pass.
+    "cat_name, spec",
+    [("sip_cat", _spec(["f.v < 10"])), ("sip_cat", _spec(["p.k = 7"])),
+     ("sip_cat", _two_sip_spec()),
+     # IC6-1 scans ``post`` as alias ``m`` and applies a mask to it.
+     ("snb_cat", workloads_snb.specs()["IC6-1"])],
+    ids=["sjoin", "sjoin_idxr", "two_sip", "ic6_1"])
+def test_bitmask_scansj_through_the_executor(spark, request, cat_name, spec, monkeypatch):
+    # With both gates at 0 every non-empty mask is applied as a broadcast
+    # semi-join on its RID relation; no Python worker runs.
+    cat = request.getfixturevalue(cat_name)
     monkeypatch.setattr(sip, "APPLY_MIN_PRUNED_ROWS", 0)
     monkeypatch.setattr(sip, "ISIN_MAX", 0)
-    out = oracle_check(spark, sip_cat, spec, "GRainDB")
-    assert "MapInPandas" in out.df._jdf.queryExecution().executedPlan().toString()
+    out = run_system(spark, cat, spec, "GRainDB")
+    joins = executed_joins(out.df)
+    assert any(op == "BroadcastHashJoin" and "LeftSemi" in rest for op, rest in joins)
+    assert "MapInPandas" not in out.df._jdf.queryExecution().executedPlan().toString()
+    assert_oracle(cat, spec, out)
+
+
+def test_rid_set_above_the_broadcast_cap_is_not_applied(spark, sip_cat, monkeypatch):
+    # The same masks as in the two-SIP case above, but no RID set fits under
+    # the broadcast cap: no semi-join is built and the RID equi-joins alone
+    # enforce the predicate.
+    monkeypatch.setattr(sip, "APPLY_MIN_PRUNED_ROWS", 0)
+    monkeypatch.setattr(sip, "ISIN_MAX", 0)
+    monkeypatch.setattr(executor, "BROADCAST_MAX_ROWS", 0)
+    out = run_system(spark, sip_cat, _two_sip_spec(), "GRainDB")
+    assert not any("LeftSemi" in rest for _op, rest in executed_joins(out.df))
+    assert_oracle(sip_cat, _two_sip_spec(), out)
+
+
+def test_empty_scansj_through_the_executor(spark, sip_cat):
+    # No F row passes ``f.v < 0``: P's mask is empty and its scan is
+    # ``WHERE FALSE``, which Catalyst folds to an empty relation.
+    out = oracle_check(spark, sip_cat, _spec(["f.v < 0"]), "GRainDB")
+    assert out.metrics.scanned["p"] == 0
+    assert "LocalTableScan <empty>" in out.df._jdf.queryExecution().executedPlan().toString()
+
+
+def test_perfbench_tracer_counts_applied_semi_joins(spark, sip_cat, monkeypatch):
+    # The benchmark's layer tracer wraps program entry points by name and
+    # reads ``masks`` from ``should_apply``'s first and ``apply_sip_filter``'s
+    # fourth positional argument; this guards that seam.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    monkeypatch.setattr(sip, "APPLY_MIN_PRUNED_ROWS", 0)
+    monkeypatch.setattr(sip, "ISIN_MAX", 0)
+    tracer = tracing.Tracer()
+    tracer.install()
+    patched = list(tracer._patched)
+    try:
+        assert len(patched) == 15
+        assert all(vars(owner)[attr] is not raw for owner, attr, raw in patched)
+        tracer.mode = "graindb"
+        out = run_system(spark, sip_cat, _two_sip_spec(), "GRainDB")
+    finally:
+        tracer.restore()
+    assert all(vars(owner)[attr] is raw for owner, attr, raw in patched)
+    semi = [r for op, r in executed_joins(out.df) if "LeftSemi" in r]
+    assert_oracle(sip_cat, _two_sip_spec(), out)
+    counts = {name: n for (mode, name), n in tracer.counts.items() if mode == "graindb"}
+    assert counts["sip.applied_bitmask"] == len(semi) > 0
+    assert counts.get("sip.applied_isin", 0) == 0
+    assert counts["sip.decisions"] == len(semi)
