@@ -1,7 +1,7 @@
 import os
 import sys
 
-from repro.bench.tables import driver_memory
+from repro.bench.tables import SPARK_CONF, driver_memory
 
 # spark.driver.memory is read at JVM launch, not from SparkConf, so it must be
 # in PYSPARK_SUBMIT_ARGS before any SparkSession starts; pytest loads this
@@ -11,8 +11,6 @@ os.environ.setdefault(
     "PYSPARK_SUBMIT_ARGS",
     "--master local[*] "
     f"--driver-memory {os.environ['SPARK_DRIVER_MEM']} "
-    f"--conf spark.driver.host=127.0.0.1 "
-    f"--conf spark.ui.enabled=false "
     "pyspark-shell",
 )
 
@@ -25,23 +23,17 @@ def spark() -> SparkSession:
     """One local-mode SparkSession for the whole test session.
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    (shuffle partitions, Arrow, broadcast threshold) are set here.
-    Automatic broadcast joins are disabled, so every join Catalyst picks on
-    its own is a shuffle join; the executor asks for a broadcast hash join
-    with an explicit ``/*+ BROADCAST(…) */`` hint on the build side, which
-    wins over the threshold.
+    pre-JVM-launch); every other setting is ``repro.bench.tables.SPARK_CONF``,
+    the one the paper tables run with (AQE off, automatic broadcast joins
+    disabled, so every join Catalyst picks on its own is a shuffle join; the
+    executor asks for a broadcast hash join with an explicit
+    ``/*+ BROADCAST(…) */`` hint on the build side, which wins over the
+    threshold).
     """
-    s = (
-        SparkSession.builder.appName("repro")
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
+    builder = SparkSession.builder.appName("repro")
+    for k, v in SPARK_CONF.items():
+        builder = builder.config(k, v)
+    s = builder.getOrCreate()
     print(
         f"[conftest] SPARK_DRIVER_MEM={os.environ['SPARK_DRIVER_MEM']} "
         f"master={s.sparkContext.master} "

@@ -11,8 +11,8 @@ This is the repo's stand-in for the storage layer the paper extends (§3):
 
 Tables are loaded as pandas (deterministic generators), RID-materialized in
 pandas (a single vectorized merge per predefinition), then ``finalize(spark)``
-turns each into a cached Spark DataFrame that all executors scan, registered
-as a temp view (``Table.view``, unique per catalog) for the executor's SQL.
+caches each in Spark behind a temp view (``Table.view``, unique per catalog)
+that both executors' SQL scans.
 The DuckDB oracle sees each table's registered columns only
 (``Table.pdf_original``).
 
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import duckdb
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import SparkSession
 
 from repro.core.rid_index import RIDIndex
 
@@ -84,14 +84,13 @@ class EdgeClass:
 
 @dataclass
 class Table:
-    """A registered base table: pandas source + (after finalize) cached Spark
-    DF and the name of the temp view over it."""
+    """A registered base table: pandas source + (after finalize) the name of
+    the temp view over its cached Spark copy."""
 
     name: str
     pdf: pd.DataFrame  # registered columns + _rid + materialized rid columns
     user_columns: list[str]  # the registered columns — what the oracle sees
     rid_cols: dict[tuple[str, ...], str] = field(default_factory=dict)
-    df: DataFrame | None = None
     view: str | None = None
 
     @property
@@ -169,7 +168,10 @@ class Catalog:
         lookup = lookup.rename(columns=dict(zip(pk_cols, fk_cols)))
         merged = f.pdf.merge(lookup, on=list(fk_cols), how="left", sort=False)
         # merge can reorder only on sorted keys; how='left' preserves F's order.
-        f.pdf[pj.rid_col] = merged[pj.rid_col].astype("Int64").to_numpy()
+        # A dangling FK leaves a null, which only a nullable integer column
+        # keeps out of float (so Spark reads it as bigint, not double).
+        rids = merged[pj.rid_col]
+        f.pdf[pj.rid_col] = rids.astype("Int64" if rids.isna().any() else np.int64).values
         f.rid_cols[fk_cols] = pj.rid_col
         self.predefined[key] = pj
         return pj
@@ -220,8 +222,8 @@ class Catalog:
         self.build_rid_index(f_table, fk2, extended_cols=fk1)
 
     def finalize(self) -> None:
-        """Create, cache and materialize the Spark DataFrames, and register
-        each as a temp view.
+        """Cache and materialize each table in Spark and register it as a
+        temp view.
 
         ``createDataFrame`` from pandas yields one partition per Arrow batch
         (~8k rows), which turns every scan into ~100 tiny tasks; coalesce to
@@ -231,20 +233,18 @@ class Catalog:
             return
         for t in self.tables.values():
             n_parts = max(1, min(16, -(-t.n_rows // 200_000)))
-            t.df = self.spark.createDataFrame(t.pdf).coalesce(n_parts).persist()
-            t.df.count()  # materialize so query timings exclude load
+            df = self.spark.createDataFrame(t.pdf).coalesce(n_parts).persist()
+            df.count()  # materialize so query timings exclude load
             t.view = f"{self._view_prefix}_{t.name}"
-            t.df.createOrReplaceTempView(t.view)
+            df.createOrReplaceTempView(t.view)
         self._finalized = True
 
     def unpersist(self) -> None:
-        """Release the cached Spark DataFrames, their temp views and the
-        DuckDB connection."""
+        """Drop the temp views, which also uncaches the data behind them, and
+        close the DuckDB connection."""
         for t in self.tables.values():
             if t.view is not None:
                 self.spark.catalog.dropTempView(t.view)
-            if t.df is not None:
-                t.df.unpersist()
         self._con.close()
 
     # ---------------------------------------------------------------- filter

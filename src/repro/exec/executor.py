@@ -3,13 +3,15 @@
 Each execution compiles the plan tree to one Spark SQL statement over the
 catalog's temp views and runs it with a single ``spark.sql`` call, so Spark
 parses and analyses the whole query once. A scan is a subquery that renames
-every column to ``alias__col`` and applies the spec's filter text verbatim; a
-join is a hinted ``JOIN`` of its children; ``finish`` is the outer
-``SELECT [DISTINCT] … WHERE <residuals> GROUP BY …``. An applied ScanSJ is
-text in its scan too (``repro.exec.sip``). The only relations that are not
-text are the ones the driver computes, SJoinIdxM's index pairs and a ScanSJ
-RID set too large for an ``IN`` list; ``_Ctx.relation`` builds both, and they
-enter the statement as named ``spark.sql`` DataFrame arguments.
+every column to ``alias__col`` and applies the spec's filter text verbatim
+(``scan_text``); a join is a hinted ``JOIN`` of its children; ``finish`` is
+the outer ``SELECT [DISTINCT] … WHERE <residuals> GROUP BY …``. An applied
+ScanSJ is text in its scan too (``repro.exec.sip``). The only relations that
+are not text are the ones the driver computes, SJoinIdxM's index pairs and a
+ScanSJ RID set too large for an ``IN`` list; ``_Ctx.relation`` builds both,
+and they enter the statement as named ``spark.sql`` DataFrame arguments. The
+INLJ executor (``repro.exec.inlj``) builds its statements from the same
+``scan_text``, ``finish`` and ``run_sql``.
 
 Compilation mirrors hash-join pipeline semantics: for every SJoin variant the
 build subtree's RID sets are determined first, masks are registered for the
@@ -39,6 +41,7 @@ table is never scanned at all.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import pandas as pd
@@ -128,6 +131,36 @@ def _esc(text: str) -> str:
     return text.replace("{", "{{").replace("}", "}}")
 
 
+def run_sql(spark: SparkSession, sql: str, args: dict[str, DataFrame]) -> DataFrame:
+    """Run statement text whose literal braces are doubled (``_esc``) and
+    whose ``{name}`` references name the DataFrames ``args``. ``spark.sql``
+    formats only a statement that has arguments, so one without is unescaped
+    here."""
+    return spark.sql(sql, **args) if args else spark.sql(sql.format())
+
+
+def scan_text(t: Table, alias: str, cols: list[str], filters: list[str],
+              narrow: Callable[[str], tuple[str, str | None]] | None = None) -> str:
+    """SQL text of a scan of ``t``'s view as ``alias``, shared by both
+    executors: the columns ``cols`` renamed ``alias__col`` and the spec's
+    ``filters`` verbatim. ``narrow``, an applied ScanSJ, maps the ``FROM``
+    item to a new one and an extra ``WHERE`` conjunct (or ``None``)."""
+    missing = [c for c in cols if c not in t.pdf.columns]
+    if missing:
+        raise KeyError(f"{t.name} has no columns {missing}")
+    source = f"`{t.view}` AS `{alias}`"
+    where = [f"({_esc(f)})" for f in filters]
+    if narrow is not None:
+        source, cond = narrow(source)
+        if cond:
+            where.append(cond)
+    sql = (f"SELECT {', '.join(f'`{alias}`.`{c}` AS `{alias}__{c}`' for c in cols)} "
+           f"FROM {source}")
+    if where:
+        sql += " WHERE " + " AND ".join(where)
+    return f"({sql})"
+
+
 def _scan_cols(t: Table, alias: str, needed: dict[str, set[str]]) -> list[str]:
     """The columns a scan of ``t`` emits (at least one)."""
     return sorted(needed[alias]) or [t.user_columns[0]]
@@ -207,18 +240,11 @@ class PlanExecutor:
 
     # ----------------------------------------------------------- node logic
     def _scan(self, node: ScanNode, needed: dict[str, set[str]], ctx: _Ctx) -> str:
-        """SQL text of a scan: the columns it emits, renamed ``alias__col``,
-        the spec's filters on it, and the ScanSJ of the mask registered for it
+        """SQL text of a scan, with the ScanSJ of the mask registered for it
         when ``sip.should_apply`` finds that worth applying and its RID set
         fits under ``BROADCAST_MAX_ROWS``."""
         t = self.catalog.table(node.table)
-        cols = _scan_cols(t, node.alias, needed)
-        missing = [c for c in cols if c not in t.pdf.columns]
-        if missing:
-            raise KeyError(f"{node.table} has no columns {missing}")
         a = node.alias
-        source = f"`{t.view}` AS `{a}`"
-        where = [f"({_esc(f)})" for f in node.filters]
         ctx.metrics.table_rows[a] = t.n_rows
         masks = ctx.masks.get(a)
         ctx.metrics.scanned[a] = t.n_rows if masks is None else masks.rows_in_active_zones()
@@ -226,16 +252,12 @@ class PlanExecutor:
         # to broadcast: the RID equi-join enforces the same predicate, so
         # skipping is correctness-neutral (the paper's "no major overheads"
         # property).
+        narrow = None
         if (masks is not None and sip.should_apply(masks)
                 and masks.selected_rows() <= BROADCAST_MAX_ROWS):
-            source, cond = sip.apply_sip_filter(ctx.relation, source, a, masks)
-            if cond:
-                where.append(cond)
-        sql = (f"SELECT {', '.join(f'`{a}`.`{c}` AS `{a}__{c}`' for c in cols)} "
-               f"FROM {source}")
-        if where:
-            sql += " WHERE " + " AND ".join(where)
-        return f"({sql})"
+            def narrow(source: str) -> tuple[str, str | None]:
+                return sip.apply_sip_filter(ctx.relation, source, a, masks)
+        return scan_text(t, a, _scan_cols(t, a, needed), node.filters, narrow)
 
     def _subtree_sets(self, subtree: PlanNode, spec: QuerySpec,
                       ctx: _Ctx) -> dict[str, np.ndarray | None]:
@@ -362,4 +384,4 @@ def finish(spark: SparkSession, spec: QuerySpec, body: str,
         sql += " WHERE " + " AND ".join(f"({_esc(qualify(f, al))})" for f in residual)
     if spec.group_by:
         sql += " GROUP BY " + ", ".join(e for e, o in sel if o in spec.group_by)
-    return spark.sql(sql, **args) if args else spark.sql(sql.format())
+    return run_sql(spark, sql, args)

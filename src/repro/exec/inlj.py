@@ -16,6 +16,14 @@ tuple, intermediate tuples are materialized *before* edge filters run);
 property reads are RID joins against the full base table — never SIP-pruned,
 which is the structural disadvantage the paper measures against.
 
+The plan is built as SQL text over the catalog's views, like the relational
+executor's, with the same scan text (``executor.scan_text``): scans, pointer
+lookups, property reads and the post-hoc checks of edges the traversal did
+not consume are all statement text. Each EXTEND runs the text built so far
+with one ``spark.sql`` call and gathers over its output; the gathered
+DataFrame enters the next text as the named argument ``{inlj}``, and
+``finish`` runs the last statement.
+
 The binding order is derived greedily: seed = most selective node, then the
 cheapest extension.
 """
@@ -25,22 +33,20 @@ from dataclasses import dataclass
 
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 from pyspark.sql.types import LongType, StructField, StructType
 
 from repro.core.catalog import RID, Catalog
 from repro.core.rid_index import RIDIndex
-from repro.exec.executor import ExecMetrics, ExecOutcome, finish
+from repro.exec.executor import ExecMetrics, ExecOutcome, finish, run_sql, scan_text
 from repro.plan.optimizer import filtered_cardinalities
-from repro.plan.spec import JoinEdge, QuerySpec, qualify
+from repro.plan.spec import JoinEdge, QuerySpec
 
 
 @dataclass
 class _Bind:
     """How one alias gets bound: 'scan' (seed), 'extend' (INLJ through an
-    adjacency index; may co-bind the destination entity), 'lookup' (follow a
-    materialized FK pointer from an already-read alias), or 'value' (fallback
-    hash join on the raw key — used only when no index/pointer exists)."""
+    adjacency index; may co-bind the destination entity) or 'lookup' (follow
+    a materialized FK pointer from an already-read alias)."""
 
     alias: str
     kind: str
@@ -51,7 +57,6 @@ class _Bind:
     # over an FK–FK edge: the materialized RID col on `via` that holds the
     # shared node ID used as the adjacency-index key (None = via's own RID).
     rid_col: str | None = None
-    edge: JoinEdge | None = None  # for 'value'
     consumed: tuple[JoinEdge, ...] = ()
 
 
@@ -107,11 +112,6 @@ def _derive_order(spec: QuerySpec, catalog: Catalog) -> list[_Bind]:
                             _Bind(alias=x, kind="lookup", via=b,
                                   rid_col=c.b_pj.rid_col, consumed=(e,)),
                         )
-                    )
-                else:
-                    candidates.append(
-                        (1e12 + cards[x], x, _Bind(alias=x, kind="value", via=b,
-                                                   edge=e, consumed=(e,)))
                     )
         if not candidates:
             raise ValueError(f"cannot derive a graph plan for {spec.name}")
@@ -191,90 +191,65 @@ class GraphExecutor:
         self.spark = spark
         self.catalog = catalog
 
-    def _props_needed(self, spec: QuerySpec, binds: list[_Bind]) -> dict[str, set[str]]:
-        need = spec.referenced_columns()
-        consumed = {spec.joins.index(e) for b in binds for e in b.consumed}
-        # Edges joined on raw keys read both sides' key columns: those left
-        # to post-hoc filters, and the value-join fallbacks.
-        keyed = [e for i, e in enumerate(spec.joins) if i not in consumed]
-        for e in keyed + [b.edge for b in binds if b.kind == "value"]:
-            need[e.left_alias] |= set(e.left_cols)
-            need[e.right_alias] |= set(e.right_cols)
-        for b in binds:
-            if b.rid_col is not None:  # lookup / FK–FK extend read via's pointer col
-                need[b.via].add(b.rid_col)
-        return need
-
-    def _scan(self, spec: QuerySpec, alias: str, cols: set[str],
-              metrics: ExecMetrics) -> DataFrame:
-        t = self.catalog.table(spec.table_of(alias))
-        use = sorted(cols | {RID})
-        df = t.df.select([F.col(c).alias(f"{alias}__{c}") for c in use])
-        for f in spec.scan_filters(alias):
-            df = df.filter(F.expr(qualify(f, spec.aliases)))
-        metrics.scanned[alias] = t.n_rows  # no SIP: GDBMS scans/reads it all
-        metrics.table_rows[alias] = t.n_rows
-        return df
-
     def execute(self, spec: QuerySpec, collect: bool = True) -> ExecOutcome:
         binds = _derive_order(spec, self.catalog)
         metrics = ExecMetrics(plan=" -> ".join(
             f"{b.kind}({b.alias}{'+' + b.dst if b.dst else ''})" for b in binds
         ))
-        props = self._props_needed(spec, binds)
-        df: DataFrame | None = None
+        # Spec edges the traversal does not consume are checked post hoc on
+        # both sides' key columns.
+        consumed = {spec.joins.index(e) for b in binds for e in b.consumed}
+        keyed = [e for i, e in enumerate(spec.joins) if i not in consumed]
+        props = spec.referenced_columns()
+        for e in keyed:
+            props[e.left_alias] |= set(e.left_cols)
+            props[e.right_alias] |= set(e.right_cols)
+        for b in binds:
+            if b.rid_col is not None:  # lookup / FK–FK extend read via's pointer col
+                props[b.via].add(b.rid_col)
+        # The text built so far reads the last EXTEND's output as ``{inlj}``.
+        args: dict[str, DataFrame] = {}
 
-        def prop_read(cur: DataFrame, alias: str) -> DataFrame:
-            scan = self._scan(spec, alias, props[alias], metrics)
-            return cur.join(
-                scan, F.col(f"__rid_{alias}") == F.col(f"{alias}__{RID}"), "inner"
-            )
+        def scan(alias: str) -> str:
+            t = self.catalog.table(spec.table_of(alias))
+            metrics.scanned[alias] = t.n_rows  # no SIP: GDBMS scans/reads it all
+            metrics.table_rows[alias] = t.n_rows
+            return scan_text(t, alias, sorted(props[alias] | {RID}), spec.scan_filters(alias))
 
+        def prop_read(body: str, alias: str) -> str:
+            """Join the properties of ``alias`` (bound to ``__rid_<alias>``)
+            after the traversal, if it has any or is filtered."""
+            if not (props[alias] or spec.scan_filters(alias)):
+                return body
+            return (f"(SELECT * FROM {body} AS l JOIN {scan(alias)} AS r "
+                    f"ON `__rid_{alias}` = `{alias}__{RID}`)")
+
+        body = ""
         for b in binds:
             if b.kind == "scan":
-                df = self._scan(spec, b.alias, props[b.alias], metrics)
-                df = df.withColumn(f"__rid_{b.alias}", F.col(f"{b.alias}__{RID}"))
-            elif b.kind == "extend":
-                idx = self.catalog.rid_index(*b.index_key)
+                body = (f"(SELECT *, `{b.alias}__{RID}` AS `__rid_{b.alias}` "
+                        f"FROM {scan(b.alias)} AS q)")
+            elif b.kind == "lookup":
+                src = f"`{b.via}__{b.rid_col}`"
+                body = prop_read(f"(SELECT *, {src} AS `__rid_{b.alias}` FROM {body} AS q "
+                                 f"WHERE {src} IS NOT NULL)", b.alias)
+            else:  # extend
+                src, where = f"__rid_{b.via}", ""
                 if b.rid_col is not None:  # FK–FK hop: key on via's pointer col
                     src = f"{b.via}__{b.rid_col}"
-                    df = df.filter(F.col(src).isNotNull())
-                else:
-                    src = f"__rid_{b.via}"
-                df = _extend_df(
-                    self.spark, df, src, idx,
+                    where = f" WHERE `{src}` IS NOT NULL"
+                df = run_sql(self.spark, f"SELECT * FROM {body} AS q{where}", args)
+                args = {"inlj": _extend_df(
+                    self.spark, df, src, self.catalog.rid_index(*b.index_key),
                     f"__rid_{b.alias}", f"__rid_{b.dst}" if b.dst else None,
-                )
-                if props[b.alias] or spec.scan_filters(b.alias):
-                    df = prop_read(df, b.alias)
-                if b.dst and (props[b.dst] or spec.scan_filters(b.dst)):
-                    df = prop_read(df, b.dst)
-            elif b.kind == "lookup":
-                src = f"{b.via}__{b.rid_col}"
-                df = df.withColumn(f"__rid_{b.alias}", F.col(src)).filter(
-                    F.col(f"__rid_{b.alias}").isNotNull()
-                )
-                if props[b.alias] or spec.scan_filters(b.alias):
-                    df = prop_read(df, b.alias)
-            else:  # value-join fallback
-                scan = self._scan(spec, b.alias, props[b.alias], metrics)
-                e = b.edge
-                cond = None
-                for lc, rc in zip(e.left_cols, e.right_cols):
-                    c = F.col(f"{e.left_alias}__{lc}") == F.col(f"{e.right_alias}__{rc}")
-                    cond = c if cond is None else cond & c
-                df = df.join(scan, cond, "inner")
-                df = df.withColumn(f"__rid_{b.alias}", F.col(f"{b.alias}__{RID}"))
-
-        # Enforce any spec edges not consumed by the traversal.
-        consumed = {spec.joins.index(e) for b in binds for e in b.consumed}
-        for i, e in enumerate(spec.joins):
-            if i in consumed:
-                continue
-            for lc, rc in zip(e.left_cols, e.right_cols):
-                df = df.filter(
-                    F.col(f"{e.left_alias}__{lc}") == F.col(f"{e.right_alias}__{rc}")
-                )
-        out = finish(self.spark, spec, "{inlj}", {"inlj": df})
+                )}
+                body = prop_read("{inlj}", b.alias)
+                if b.dst:
+                    body = prop_read(body, b.dst)
+        if keyed:
+            cond = " AND ".join(f"`{e.left_alias}__{lc}` = `{e.right_alias}__{rc}`"
+                                for e in keyed for lc, rc in zip(e.left_cols, e.right_cols))
+            body = f"(SELECT * FROM {body} AS q WHERE {cond})"
+        out = finish(self.spark, spec, body, args)
         result = out.toPandas() if collect else None
         return ExecOutcome(result=result, metrics=metrics, df=None if collect else out)

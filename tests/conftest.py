@@ -1,7 +1,7 @@
-"""Shared fixtures: tuned Spark conf and session-scoped tiny catalogs.
+"""Shared fixtures: session-scoped tiny catalogs.
 
 Catalogs are built once per session at unit-test scale (thousands of rows) so
-the ~850 tests stay fast; every result-bearing test still goes through the
+the ~890 tests stay fast; every result-bearing test still goes through the
 DuckDB oracle.
 """
 import pandas as pd
@@ -11,13 +11,6 @@ from repro.core.catalog import Catalog
 from repro.data.imdb import imdb_catalog
 from repro.data.snb import snb_catalog
 from repro.data.tpch import tpch_catalog
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _spark_tuning(spark):
-    # 64 shuffle partitions (session default) is pure overhead at test scale.
-    spark.conf.set("spark.sql.shuffle.partitions", "8")
-    yield
 
 
 @pytest.fixture(scope="session")

@@ -5,8 +5,8 @@ import pandas as pd
 import pytest
 
 from repro.core.catalog import RID, Catalog, rid_col_name
-from repro.plan.spec import QuerySpec, TableRef
-from tests.util import oracle_check
+from repro.plan.spec import JoinEdge, QuerySpec, TableRef
+from tests.util import ALL_SYSTEMS, executed_joins, oracle_check
 
 
 @pytest.fixture()
@@ -177,8 +177,9 @@ def test_finalize_creates_cached_dfs(spark, cat):
     _register_pair(cat)
     cat.predefine_join("f", ["fk"], "p", ["k"])
     cat.finalize()
-    df = cat.table("f").df
-    assert df is not None
+    view = cat.table("f").view
+    assert spark.catalog.isCached(view)
+    df = spark.table(view)
     cols = set(df.columns)
     assert RID in cols and rid_col_name("p", ("fk",)) in cols
     assert df.count() == 4
@@ -206,9 +207,29 @@ def test_nullable_rid_roundtrips_through_spark(spark, cat):
     _register_pair(cat)
     pj = cat.predefine_join("f", ["fk"], "p", ["k"])
     cat.finalize()
-    vals = cat.table("f").df.select(pj.rid_col).toPandas()[pj.rid_col]
+    df = spark.table(cat.table("f").view).select(pj.rid_col)
+    assert df.dtypes == [(pj.rid_col, "bigint")]
+    vals = df.toPandas()[pj.rid_col]
     assert vals.isna().sum() == 1
     assert set(vals.dropna().astype(int)) == {0, 1}
+
+
+@pytest.mark.parametrize("system", ALL_SYSTEMS)
+@pytest.mark.parametrize("seed_filter", ["p.v <> 'a'", "f.w >= 3"])
+def test_join_over_a_dangling_fk(spark, cat, system, seed_filter):
+    # Seeded on p, INLJ extends f through the index (which leaves the dangling
+    # row out); seeded on f (the dangling row passes), it looks p up through
+    # a null pointer. No RID join may compare its keys as doubles.
+    _register_pair(cat)
+    cat.predefine_join("f", ["fk"], "p", ["k"])
+    cat.build_rid_index("f", ["fk"])
+    cat.finalize()
+    spec = QuerySpec(name="dangling", tables=[TableRef("p", "p"), TableRef("f", "f")],
+                     joins=[JoinEdge.of("f.fk", "p.k")], filters=[seed_filter],
+                     select=[("p.v", "v"), ("f.w", "w")])
+    out = oracle_check(spark, cat, spec, system)
+    joins = executed_joins(out.df)
+    assert joins and not any("double" in rest for _op, rest in joins)
 
 
 def test_predefine_relationship_builds_both_indices(cat):
@@ -267,10 +288,16 @@ def test_catalogs_in_one_session_scan_their_own_tables(spark, follows_cat, snb_c
 
 
 def test_unpersist_drops_the_views(spark):
+    def persistent() -> int:
+        return spark.sparkContext._jsc.getPersistentRDDs().size()
+
     c = Catalog(spark)
     _register_pair(c)
+    before = persistent()
     c.finalize()
     views = [c.table(name).view for name in ("p", "f")]
     assert all(spark.catalog.tableExists(v) for v in views)
+    assert persistent() == before + 2
     c.unpersist()
     assert not any(spark.catalog.tableExists(v) for v in views)
+    assert persistent() == before  # dropping a view uncaches its data

@@ -2,9 +2,12 @@
 property reads — oracle-checked against the same specs."""
 import pytest
 
+from repro.bench import workloads_snb
 from repro.exec.inlj import GraphExecutor, _derive_order
 from repro.plan.spec import JoinEdge, QuerySpec, TableRef
-from tests.util import oracle_check
+from tests.util import oracle_check, run_system
+
+_SNB = workloads_snb.specs()
 
 
 def _one_hop(select=None, filters=None, **kw):
@@ -83,9 +86,26 @@ def test_inlj_star_pattern(spark, follows_cat):
 
 
 def test_inlj_scans_are_full_tables(spark, follows_cat):
-    from tests.util import run_system
-
     out = run_system(spark, follows_cat, _one_hop(), "GraphflowDB", collect=True)
     # No SIP in GDBMS mode: every touched table is read in full.
     for alias, n in out.metrics.scanned.items():
         assert n == out.metrics.table_rows[alias]
+
+
+def test_value_edge_has_no_graph_plan(spark, follows_cat):
+    # No index or pointer joins p1 and p2: a GDBMS cannot traverse the edge.
+    spec = QuerySpec(name="same_name",
+                     tables=[TableRef("p1", "person"), TableRef("p2", "person")],
+                     joins=[JoinEdge.of("p1.name", "p2.name")],
+                     select=[("p1.ID", "id1"), ("p2.ID", "id2")])
+    with pytest.raises(ValueError, match="cannot derive a graph plan"):
+        GraphExecutor(spark, follows_cat).execute(spec)
+
+
+@pytest.mark.parametrize("qname", sorted(_SNB))
+def test_one_gather_per_extend(spark, snb_cat, qname):
+    spec = _SNB[qname]
+    n_extend = sum(b.kind == "extend" for b in _derive_order(spec, snb_cat))
+    df = run_system(spark, snb_cat, spec, "GraphflowDB").df
+    plan = df._jdf.queryExecution().executedPlan().toString()
+    assert plan.count("MapInPandas") == n_extend
