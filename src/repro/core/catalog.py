@@ -149,8 +149,9 @@ class Catalog:
     ) -> PredefinedJoin:
         """``PREDEFINE JOIN`` — materialize P's RIDs onto F (paper §3).
 
-        ``fk_cols`` must form a foreign key: ``pk_cols`` must be unique in P.
-        Dangling FKs materialize as null (they join nothing).
+        Referential integrity is checked: ``pk_cols`` must be unique and
+        non-null in P, and every F row must match a P row. Otherwise it raises
+        ``ValueError`` and changes nothing, so every pointer is a valid P RID.
         """
         if self._finalized:
             raise RuntimeError("catalog already finalized")
@@ -161,17 +162,21 @@ class Catalog:
         key = (f_table, fk_cols)
         if key in self.predefined:
             raise ValueError(f"join on {f_table}{fk_cols} already predefined")
-        if p.pdf.duplicated(subset=list(pk_cols)).any():
-            raise ValueError(f"{p_table}{pk_cols} is not unique — not a valid FK target")
+        keys = p.pdf[list(pk_cols)]
+        if keys.isna().to_numpy().any() or keys.duplicated().any():
+            raise ValueError(f"{p_table}{pk_cols} holds a null or is not unique — "
+                             "not a valid FK target")
         pj = PredefinedJoin(f_table, fk_cols, p_table, pk_cols)
         lookup = p.pdf[list(pk_cols) + [RID]].rename(columns={RID: pj.rid_col})
         lookup = lookup.rename(columns=dict(zip(pk_cols, fk_cols)))
         merged = f.pdf.merge(lookup, on=list(fk_cols), how="left", sort=False)
         # merge can reorder only on sorted keys; how='left' preserves F's order.
-        # A dangling FK leaves a null, which only a nullable integer column
-        # keeps out of float (so Spark reads it as bigint, not double).
+        # P's key has no null, so a null FK matches nothing here, as in SQL.
         rids = merged[pj.rid_col]
-        f.pdf[pj.rid_col] = rids.astype("Int64" if rids.isna().any() else np.int64).values
+        if rids.isna().any():
+            raise ValueError(f"{rids.isna().sum()} of {f.n_rows} rows of {f_table}{fk_cols} "
+                             f"match no {p_table}{pk_cols} row (a dangling or null FK)")
+        f.pdf[pj.rid_col] = rids.to_numpy(dtype=np.int64)
         f.rid_cols[fk_cols] = pj.rid_col
         self.predefined[key] = pj
         return pj

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
+from numpy.typing import ArrayLike
 
 
 @dataclass
@@ -35,31 +35,17 @@ class RIDIndex:
     @classmethod
     def build(
         cls,
-        rid_p_values: pd.Series | np.ndarray,
+        rid_p_values: ArrayLike,
         n_p: int,
-        ext_values: pd.Series | np.ndarray | None = None,
+        ext_values: ArrayLike | None = None,
     ) -> "RIDIndex":
-        """Build from F's materialized RID column (position = F's own RID).
-
-        Null RIDs (dangling foreign keys) are excluded — they join nothing.
-        """
-        rid_p = pd.Series(rid_p_values)
-        valid = rid_p.notna().to_numpy()
-        keys = rid_p.to_numpy(dtype="float64", na_value=np.nan)[valid].astype(np.int64)
-        own = np.flatnonzero(valid).astype(np.int64)
-        order = np.argsort(keys, kind="stable")
-        keys_sorted = keys[order]
-        counts = np.bincount(keys_sorted, minlength=n_p)
+        """Build from F's materialized RID column (position = F's own RID)."""
+        keys = np.asarray(rid_p_values, dtype=np.int64)
+        f_rids = np.argsort(keys, kind="stable")
+        counts = np.bincount(keys, minlength=n_p)
         offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-        f_sorted = own[order]
-        ext_sorted = None
-        if ext_values is not None:
-            ext = pd.Series(ext_values)
-            ext_np = ext.to_numpy(dtype="float64", na_value=np.nan)[valid]
-            if np.isnan(ext_np).any():
-                raise ValueError("extended RID column contains nulls for indexed rows")
-            ext_sorted = ext_np.astype(np.int64)[order]
-        return cls(offsets=offsets, f_rids=f_sorted, ext_rids=ext_sorted)
+        ext_rids = None if ext_values is None else np.asarray(ext_values, dtype=np.int64)[f_rids]
+        return cls(offsets=offsets, f_rids=f_rids, ext_rids=ext_rids)
 
     def _gather_idx(self, p_rids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Ragged-gather positions for a batch of keys.

@@ -67,12 +67,11 @@ def _via(col: pd.Series | None, idx):
     """Follow ``col`` (a pointer column of the source) to P-RIDs, then map
     them through ``idx`` (an RID index) to F-RIDs; either step may be absent."""
     if col is not None:
-        col = col.to_numpy(dtype="float64", na_value=np.nan)
+        col = col.to_numpy()
 
     def fn(rids: np.ndarray) -> np.ndarray:
         if col is not None:
-            vals = col[rids]
-            rids = np.unique(vals[~np.isnan(vals)]).astype(np.int64)
+            rids = np.unique(col[rids])
         if idx is not None:
             rids = np.unique(idx.lookup_many(rids))
         return rids

@@ -37,7 +37,8 @@ from pyspark.sql.types import LongType, StructField, StructType
 
 from repro.core.catalog import RID, Catalog
 from repro.core.rid_index import RIDIndex
-from repro.exec.executor import ExecMetrics, ExecOutcome, finish, run_sql, scan_text
+from repro.exec.executor import (BROADCAST_MAX_ROWS, ExecMetrics, ExecOutcome, finish,
+                                 run_sql, scan_text)
 from repro.plan.optimizer import filtered_cardinalities
 from repro.plan.spec import JoinEdge, QuerySpec
 
@@ -218,10 +219,14 @@ class GraphExecutor:
 
         def prop_read(body: str, alias: str) -> str:
             """Join the properties of ``alias`` (bound to ``__rid_<alias>``)
-            after the traversal, if it has any or is filtered."""
+            after the traversal, if it has any or is filtered. The table side
+            is the broadcast build, under the relational executor's size rule:
+            a hash lookup by RID, like a GDBMS's random property access."""
             if not (props[alias] or spec.scan_filters(alias)):
                 return body
-            return (f"(SELECT * FROM {body} AS l JOIN {scan(alias)} AS r "
+            t = self.catalog.table(spec.table_of(alias))
+            hint = "/*+ BROADCAST(r) */ " if t.n_rows <= BROADCAST_MAX_ROWS else ""
+            return (f"(SELECT {hint}* FROM {body} AS l JOIN {scan(alias)} AS r "
                     f"ON `__rid_{alias}` = `{alias}__{RID}`)")
 
         body = ""
@@ -230,15 +235,12 @@ class GraphExecutor:
                 body = (f"(SELECT *, `{b.alias}__{RID}` AS `__rid_{b.alias}` "
                         f"FROM {scan(b.alias)} AS q)")
             elif b.kind == "lookup":
-                src = f"`{b.via}__{b.rid_col}`"
-                body = prop_read(f"(SELECT *, {src} AS `__rid_{b.alias}` FROM {body} AS q "
-                                 f"WHERE {src} IS NOT NULL)", b.alias)
+                body = prop_read(f"(SELECT *, `{b.via}__{b.rid_col}` AS `__rid_{b.alias}` "
+                                 f"FROM {body} AS q)", b.alias)
             else:  # extend
-                src, where = f"__rid_{b.via}", ""
-                if b.rid_col is not None:  # FK–FK hop: key on via's pointer col
-                    src = f"{b.via}__{b.rid_col}"
-                    where = f" WHERE `{src}` IS NOT NULL"
-                df = run_sql(self.spark, f"SELECT * FROM {body} AS q{where}", args)
+                # An FK–FK hop keys on via's pointer col.
+                src = f"__rid_{b.via}" if b.rid_col is None else f"{b.via}__{b.rid_col}"
+                df = run_sql(self.spark, f"SELECT * FROM {body} AS q", args)
                 args = {"inlj": _extend_df(
                     self.spark, df, src, self.catalog.rid_index(*b.index_key),
                     f"__rid_{b.alias}", f"__rid_{b.dst}" if b.dst else None,

@@ -5,6 +5,7 @@ import pandas as pd
 import pytest
 
 from repro.core.catalog import RID, Catalog, rid_col_name
+from repro.oracle import assert_equivalent
 from repro.plan.spec import JoinEdge, QuerySpec, TableRef
 from tests.util import ALL_SYSTEMS, executed_joins, oracle_check
 
@@ -18,7 +19,7 @@ def cat(spark):
 
 def _register_pair(cat):
     cat.register("p", pd.DataFrame({"k": [10, 20, 30], "v": ["a", "b", "c"]}))
-    cat.register("f", pd.DataFrame({"fk": [20, 10, 20, 99], "w": [1, 2, 3, 4]}))
+    cat.register("f", pd.DataFrame({"fk": [20, 10, 20, 30], "w": [1, 2, 3, 4]}))
     return cat
 
 
@@ -41,9 +42,8 @@ def test_duplicate_registration_rejected(cat):
 def test_predefine_materializes_rids(cat):
     _register_pair(cat)
     pj = cat.predefine_join("f", ["fk"], "p", ["k"])
-    got = cat.table("f").pdf[pj.rid_col].tolist()
-    assert got[:3] == [1, 0, 1]
-    assert pd.isna(got[3])  # dangling FK -> null pointer
+    col = cat.table("f").pdf[pj.rid_col]
+    assert col.dtype == np.int64 and col.tolist() == [1, 0, 1, 2]
 
 
 def test_predefine_preserves_row_order(cat):
@@ -163,6 +163,7 @@ def test_build_rid_index(cat):
     idx = cat.build_rid_index("f", ["fk"])
     assert idx.lookup_many(np.array([0])).tolist() == [1]
     assert sorted(idx.lookup_many(np.array([1])).tolist()) == [0, 2]
+    assert idx.lookup_many(np.array([2])).tolist() == [3]
     assert cat.rid_index("f", ("fk",)) is idx
 
 
@@ -182,6 +183,7 @@ def test_finalize_creates_cached_dfs(spark, cat):
     df = spark.table(view)
     cols = set(df.columns)
     assert RID in cols and rid_col_name("p", ("fk",)) in cols
+    assert dict(df.dtypes)[rid_col_name("p", ("fk",))] == "bigint"
     assert df.count() == 4
 
 
@@ -199,28 +201,44 @@ def test_oracle_tables_exclude_rid_columns(cat):
     cat.predefine_join("f", ["fk"], "p", ["k"])
     orig = cat.oracle_tables()
     assert list(orig["f"].columns) == ["fk", "w"]
-    assert orig["f"]["fk"].tolist() == [20, 10, 20, 99]
+    assert orig["f"]["fk"].tolist() == [20, 10, 20, 30]
     assert cat.table("f").pdf_original.equals(orig["f"])
 
 
-def test_nullable_rid_roundtrips_through_spark(spark, cat):
-    _register_pair(cat)
-    pj = cat.predefine_join("f", ["fk"], "p", ["k"])
-    cat.finalize()
-    df = spark.table(cat.table("f").view).select(pj.rid_col)
-    assert df.dtypes == [(pj.rid_col, "bigint")]
-    vals = df.toPandas()[pj.rid_col]
-    assert vals.isna().sum() == 1
-    assert set(vals.dropna().astype(int)) == {0, 1}
+@pytest.mark.parametrize("p_rows, f_rows, fk, pk", [
+    pytest.param({"k": ["x", "y"]}, {"fk": ["y", "z"]}, ["fk"], ["k"], id="dangling_value"),
+    pytest.param({"k": [10, 20, 30]}, {"fk": [20, None, 10]}, ["fk"], ["k"], id="null_fk"),
+    # pandas' merge pairs the two nulls; SQL's NULL = NULL matches nothing.
+    pytest.param({"k": [10, 20, None]}, {"fk": [20, None, 10]}, ["fk"], ["k"], id="null_pk"),
+    pytest.param({"a": [1, 1, 2], "b": [1, 2, 1]}, {"x": [2, 1], "y": [1, None]},
+                 ["x", "y"], ["a", "b"], id="two_column_fk_one_null"),
+    # An FK–FK edge f1.fk = f2.fk over the dangling 99 matches in SQL; as an
+    # equality of two pointers it would match nothing.
+    pytest.param({"k": [10, 20, 30]}, {"fk": [20, 10, 20, 99], "w": [1, 2, 3, 4]},
+                 ["fk"], ["k"], id="fkfk_over_a_dangling_value"),
+])
+def test_predefine_rejects_a_pointer_to_no_row(cat, p_rows, f_rows, fk, pk):
+    cat.register("p", pd.DataFrame(p_rows))
+    f = cat.register("f", pd.DataFrame(f_rows))
+    with pytest.raises(ValueError, match="holds a null|match no"):
+        cat.predefine_join("f", fk, "p", pk)
+    assert list(f.pdf.columns) == list(f_rows) + [RID]
+    assert not f.rid_cols and not cat.predefined
 
 
 @pytest.mark.parametrize("system", ALL_SYSTEMS)
 @pytest.mark.parametrize("seed_filter", ["p.v <> 'a'", "f.w >= 3"])
 def test_join_over_a_dangling_fk(spark, cat, system, seed_filter):
-    # Seeded on p, INLJ extends f through the index (which leaves the dangling
-    # row out); seeded on f (the dangling row passes), it looks p up through
-    # a null pointer. No RID join may compare its keys as doubles.
-    _register_pair(cat)
+    # PREDEFINE JOIN rejects the dangling row (fk = 99); with that row dropped
+    # it succeeds, and every system returns the rows of the join over the data
+    # the row came from. Seeded on p, INLJ extends f through the index; seeded
+    # on f, it looks p up by pointer. No RID join may compare its keys as doubles.
+    p = cat.register("p", pd.DataFrame({"k": [10, 20, 30], "v": ["a", "b", "c"]}))
+    raw = pd.DataFrame({"fk": [20, 10, 20, 99], "w": [1, 2, 3, 4]})
+    cat.register("f_raw", raw)
+    with pytest.raises(ValueError, match="match no"):
+        cat.predefine_join("f_raw", ["fk"], "p", ["k"])
+    cat.register("f", raw[raw["fk"].isin(p.pdf["k"])].reset_index(drop=True))
     cat.predefine_join("f", ["fk"], "p", ["k"])
     cat.build_rid_index("f", ["fk"])
     cat.finalize()
@@ -228,6 +246,7 @@ def test_join_over_a_dangling_fk(spark, cat, system, seed_filter):
                      joins=[JoinEdge.of("f.fk", "p.k")], filters=[seed_filter],
                      select=[("p.v", "v"), ("f.w", "w")])
     out = oracle_check(spark, cat, spec, system)
+    assert_equivalent(out.df, spec.to_sql(), p=p.pdf_original, f=raw)
     joins = executed_joins(out.df)
     assert joins and not any("double" in rest for _op, rest in joins)
 

@@ -4,9 +4,10 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.bench.runners import run_system
 from repro.core.catalog import Catalog
 from repro.plan.spec import JoinEdge, QuerySpec, TableRef
-from tests.util import ALL_SYSTEMS, RELATIONAL_MODES, oracle_check, run_system
+from tests.util import ALL_SYSTEMS, RELATIONAL_MODES, oracle_check
 
 
 @pytest.fixture(scope="module")
@@ -132,7 +133,7 @@ def test_residual_multi_alias_filter(spark, mini_cat, mode):
 def test_empty_result(spark, mini_cat, mode):
     spec = _spec(filters=["d.k = 999"],
                  select=[("d.cat", "cat"), ("f.amount", "amount")], group_by=None)
-    out = run_system(spark, mini_cat, spec, mode, collect=True)
+    out = run_system(spark, mini_cat, spec, mode)
     assert len(out.result) == 0
 
 
@@ -155,7 +156,7 @@ def test_explicit_order_matches_greedy_result(spark, mini_cat):
 
 
 def test_metrics_table_rows(spark, mini_cat):
-    out = run_system(spark, mini_cat, _spec(), "DuckDB", collect=True)
+    out = run_system(spark, mini_cat, _spec(), "DuckDB")
     assert out.metrics.table_rows == {"d": 40, "f": 800}
     assert out.metrics.total_scanned == 840
 

@@ -3,9 +3,10 @@ property reads — oracle-checked against the same specs."""
 import pytest
 
 from repro.bench import workloads_snb
+from repro.bench.runners import run_system
 from repro.exec.inlj import GraphExecutor, _derive_order
 from repro.plan.spec import JoinEdge, QuerySpec, TableRef
-from tests.util import oracle_check, run_system
+from tests.util import oracle_check
 
 _SNB = workloads_snb.specs()
 
@@ -86,7 +87,7 @@ def test_inlj_star_pattern(spark, follows_cat):
 
 
 def test_inlj_scans_are_full_tables(spark, follows_cat):
-    out = run_system(spark, follows_cat, _one_hop(), "GraphflowDB", collect=True)
+    out = run_system(spark, follows_cat, _one_hop(), "GraphflowDB")
     # No SIP in GDBMS mode: every touched table is read in full.
     for alias, n in out.metrics.scanned.items():
         assert n == out.metrics.table_rows[alias]
@@ -106,6 +107,9 @@ def test_value_edge_has_no_graph_plan(spark, follows_cat):
 def test_one_gather_per_extend(spark, snb_cat, qname):
     spec = _SNB[qname]
     n_extend = sum(b.kind == "extend" for b in _derive_order(spec, snb_cat))
-    df = run_system(spark, snb_cat, spec, "GraphflowDB").df
+    df = run_system(spark, snb_cat, spec, "GraphflowDB", collect=False).df
     plan = df._jdf.queryExecution().executedPlan().toString()
     assert plan.count("MapInPandas") == n_extend
+    # Property reads are broadcast hash joins: no sort-merge join, no shuffle.
+    assert "SortMergeJoin" not in plan
+    assert "Exchange hashpartitioning" not in plan

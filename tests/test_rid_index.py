@@ -62,21 +62,6 @@ def test_pairs_multiplicity_preserved():
     assert len(f) == 2 and ext.tolist() == [5, 5]
 
 
-def test_null_fks_excluded():
-    vals = pd.Series([0, None, 1], dtype="Int64")
-    idx = RIDIndex.build(vals, n_p=2)
-    assert len(idx.f_rids) == 2
-    assert idx.lookup_many(np.array([0])).tolist() == [0]
-    assert idx.lookup_many(np.array([1])).tolist() == [2]
-
-
-def test_null_ext_for_indexed_row_raises():
-    with pytest.raises(ValueError):
-        RIDIndex.build(
-            pd.Series([0, 1]), n_p=2, ext_values=pd.Series([0, None], dtype="Int64")
-        )
-
-
 def test_extend_maps_back_to_inputs():
     idx = _idx()
     rep, f, ext = idx.extend(np.array([2, 0]))

@@ -4,9 +4,10 @@ Examples 2–4 (the two-hop query under each system configuration)."""
 import numpy as np
 import pytest
 
+from repro.bench.runners import run_system
 from repro.core.catalog import RID
 from repro.plan.spec import JoinEdge, QuerySpec, TableRef
-from tests.util import ALL_SYSTEMS, oracle_check, run_system
+from tests.util import ALL_SYSTEMS, oracle_check
 
 
 def two_hop_spec() -> QuerySpec:
@@ -51,7 +52,7 @@ def test_figure2_rid_index(follows_cat):
 def test_example2_result_all_systems(spark, follows_cat, system):
     """The final output must be (Karim, Carmen, Zhang, 2019) everywhere."""
     out = oracle_check(spark, follows_cat, two_hop_spec(), system)
-    res = run_system(spark, follows_cat, two_hop_spec(), system, collect=True).result
+    res = run_system(spark, follows_cat, two_hop_spec(), system).result
     assert len(res) == 1
     row = res.iloc[0]
     assert (row["n1"], row["n2"], row["n3"]) == ("Karim", "Carmen", "Zhang")
@@ -66,7 +67,7 @@ def test_example2_scan_reduction_monotone(spark, follows_cat):
     spec = two_hop_spec()
     totals = {}
     for mode in ["DuckDB", "GRainDB-JM-RSJ", "GRainDB-JM", "GRainDB"]:
-        out = run_system(spark, follows_cat, spec, mode, collect=True)
+        out = run_system(spark, follows_cat, spec, mode)
         totals[mode] = out.metrics.total_scanned
     assert totals["GRainDB"] <= totals["GRainDB-JM"] <= totals["GRainDB-JM-RSJ"] \
         <= totals["DuckDB"]
@@ -77,7 +78,7 @@ def test_example2_sjoin_zone_skipping(spark, follows_cat):
     """With zone size 2, the SJoin bitmasks let ScanSJ(P2)/ScanSJ(P3) scan a
     single zone (2 of 4 person tuples) — Example 2's [0,1] zone bitmask."""
     spec = two_hop_spec()
-    out = run_system(spark, follows_cat, spec, "GRainDB-JM", collect=True)
+    out = run_system(spark, follows_cat, spec, "GRainDB-JM")
     assert out.metrics.scanned["p2"] == 2
     assert out.metrics.scanned["p3"] == 2
 
@@ -105,7 +106,7 @@ def test_example3_reverse_semijoin_plan(spark, follows_cat):
     """Example 3 / Figure 1b: without join merging, probe-side Follows scans
     receive index-based (reverse semijoin) bitmasks."""
     spec = two_hop_spec()
-    out = run_system(spark, follows_cat, spec, "GRainDB-JM", collect=True)
+    out = run_system(spark, follows_cat, spec, "GRainDB-JM")
     assert "SJOIN_IDXR" in out.metrics.plan or "sip[index]" in out.metrics.plan
     # Follows scans are pruned below full size by the reverse semijoin.
     assert out.metrics.scanned["f1"] < 5 or out.metrics.scanned["f2"] < 5

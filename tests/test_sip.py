@@ -8,6 +8,7 @@ import pandas as pd
 import pytest
 
 from repro.bench import workloads_snb
+from repro.bench.runners import run_system
 from repro.core.bitmask import SemiJoinMasks
 from repro.core.catalog import Catalog
 from repro.core.rewrite import GRAIN_FULL
@@ -15,7 +16,7 @@ from repro.exec import executor, sip
 from repro.exec.executor import _Ctx
 from repro.exec.sip import apply_sip_filter
 from repro.plan.spec import JoinEdge, QuerySpec, TableRef
-from tests.util import assert_oracle, executed_joins, oracle_check, run_system
+from tests.util import assert_oracle, executed_joins, oracle_check
 
 
 def _filtered(spark, pdf, masks):
@@ -97,15 +98,15 @@ def _spec(filters):
 
 def test_selective_filter_reduces_scans(spark, sip_cat):
     spec = _spec(["f.v < 10"])  # selective on F -> Case 1 sip into P
-    duck = run_system(spark, sip_cat, spec, "DuckDB", collect=True)
-    grain = run_system(spark, sip_cat, spec, "GRainDB", collect=True)
+    duck = run_system(spark, sip_cat, spec, "DuckDB")
+    grain = run_system(spark, sip_cat, spec, "GRainDB")
     assert grain.metrics.total_scanned < duck.metrics.total_scanned
     pd.testing.assert_frame_equal(duck.result, grain.result, check_dtype=False)
 
 
 def test_reverse_semijoin_reduces_f_scan(spark, sip_cat):
     spec = _spec(["p.k = 7"])  # selective on P -> SJoinIdxR prunes F's scan
-    grain = run_system(spark, sip_cat, spec, "GRainDB", collect=True)
+    grain = run_system(spark, sip_cat, spec, "GRainDB")
     assert grain.metrics.scanned["f"] < sip_cat.table("f").n_rows
     oracle_check(spark, sip_cat, spec, "GRainDB")
 
@@ -146,7 +147,7 @@ def test_bitmask_scansj_through_the_executor(spark, request, cat_name, spec, mon
     cat = request.getfixturevalue(cat_name)
     monkeypatch.setattr(sip, "APPLY_MIN_PRUNED_ROWS", 0)
     monkeypatch.setattr(sip, "ISIN_MAX", 0)
-    out = run_system(spark, cat, spec, "GRainDB")
+    out = run_system(spark, cat, spec, "GRainDB", collect=False)
     joins = executed_joins(out.df)
     assert any(op == "BroadcastHashJoin" and "LeftSemi" in rest for op, rest in joins)
     assert "MapInPandas" not in out.df._jdf.queryExecution().executedPlan().toString()
@@ -160,7 +161,7 @@ def test_rid_set_above_the_broadcast_cap_is_not_applied(spark, sip_cat, monkeypa
     monkeypatch.setattr(sip, "APPLY_MIN_PRUNED_ROWS", 0)
     monkeypatch.setattr(sip, "ISIN_MAX", 0)
     monkeypatch.setattr(executor, "BROADCAST_MAX_ROWS", 0)
-    out = run_system(spark, sip_cat, _two_sip_spec(), "GRainDB")
+    out = run_system(spark, sip_cat, _two_sip_spec(), "GRainDB", collect=False)
     assert not any("LeftSemi" in rest for _op, rest in executed_joins(out.df))
     assert_oracle(sip_cat, _two_sip_spec(), out)
 
@@ -188,7 +189,7 @@ def test_perfbench_tracer_counts_applied_semi_joins(spark, sip_cat, monkeypatch)
         assert len(patched) == 15
         assert all(vars(owner)[attr] is not raw for owner, attr, raw in patched)
         tracer.mode = "graindb"
-        out = run_system(spark, sip_cat, _two_sip_spec(), "GRainDB")
+        out = run_system(spark, sip_cat, _two_sip_spec(), "GRainDB", collect=False)
     finally:
         tracer.restore()
     assert all(vars(owner)[attr] is raw for owner, attr, raw in patched)

@@ -22,17 +22,17 @@ def test_job_query_correct(spark, imdb_cat, qname, system):
 
 @pytest.mark.parametrize("qname", ["Q3a", "Q6a", "Q21a", "Q32a"])
 def test_job_selective_queries_scan_less(spark, imdb_cat, qname):
-    from tests.util import run_system
+    from repro.bench.runners import run_system
 
-    duck = run_system(spark, imdb_cat, _SPECS[qname], "DuckDB", collect=True)
-    grain = run_system(spark, imdb_cat, _SPECS[qname], "GRainDB", collect=True)
+    duck = run_system(spark, imdb_cat, _SPECS[qname], "DuckDB")
+    grain = run_system(spark, imdb_cat, _SPECS[qname], "GRainDB")
     assert grain.metrics.total_scanned < duck.metrics.total_scanned
 
 
 def test_job_nonselective_query_scans_similar(spark, imdb_cat):
     """Q5a has no selective predicate — sip cannot prune much (paper: 1.0x)."""
-    from tests.util import run_system
+    from repro.bench.runners import run_system
 
-    duck = run_system(spark, imdb_cat, _SPECS["Q5a"], "DuckDB", collect=True)
-    grain = run_system(spark, imdb_cat, _SPECS["Q5a"], "GRainDB", collect=True)
+    duck = run_system(spark, imdb_cat, _SPECS["Q5a"], "DuckDB")
+    grain = run_system(spark, imdb_cat, _SPECS["Q5a"], "GRainDB")
     assert grain.metrics.total_scanned >= 0.5 * duck.metrics.total_scanned

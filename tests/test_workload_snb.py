@@ -27,8 +27,8 @@ def test_snb_query_correct(spark, snb_cat, qname, system):
 def test_snb_grain_scans_less_than_duck(spark, snb_cat, qname):
     """Spot-check the paper's central claim at unit scale: on seeded SNB
     queries GRainDB scans far fewer tuples than DuckDB."""
-    from tests.util import run_system
+    from repro.bench.runners import run_system
 
-    duck = run_system(spark, snb_cat, _SPECS[qname], "DuckDB", collect=True)
-    grain = run_system(spark, snb_cat, _SPECS[qname], "GRainDB", collect=True)
+    duck = run_system(spark, snb_cat, _SPECS[qname], "DuckDB")
+    grain = run_system(spark, snb_cat, _SPECS[qname], "GRainDB")
     assert grain.metrics.total_scanned < duck.metrics.total_scanned

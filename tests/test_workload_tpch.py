@@ -22,8 +22,8 @@ def test_tpch_query_correct(spark, tpch_cat, qname, system):
 def test_tpch_q2_selective_part_scans_less(spark, tpch_cat):
     """Q2 is the paper's 2.6x TPC-H winner: the selective part predicate passes
     through the many-to-many partsupp joins."""
-    from tests.util import run_system
+    from repro.bench.runners import run_system
 
-    duck = run_system(spark, tpch_cat, _SPECS["Q2"], "DuckDB", collect=True)
-    grain = run_system(spark, tpch_cat, _SPECS["Q2"], "GRainDB", collect=True)
+    duck = run_system(spark, tpch_cat, _SPECS["Q2"], "DuckDB")
+    grain = run_system(spark, tpch_cat, _SPECS["Q2"], "GRainDB")
     assert grain.metrics.total_scanned < duck.metrics.total_scanned

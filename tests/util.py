@@ -3,21 +3,14 @@ from __future__ import annotations
 
 import re
 
+from repro.bench.runners import run_system
 from repro.core.catalog import Catalog
-from repro.exec.executor import ExecOutcome, PlanExecutor
-from repro.exec.inlj import GraphExecutor
+from repro.exec.executor import ExecOutcome
 from repro.oracle import assert_equivalent
 from repro.plan.spec import QuerySpec
 
 RELATIONAL_MODES = ["DuckDB", "GRainDB-JM-RSJ", "GRainDB-JM", "GRainDB"]
 ALL_SYSTEMS = RELATIONAL_MODES + ["GraphflowDB"]
-
-
-def run_system(spark, catalog: Catalog, spec: QuerySpec, system: str,
-               collect: bool = False) -> ExecOutcome:
-    if system == "GraphflowDB":
-        return GraphExecutor(spark, catalog).execute(spec, collect=collect)
-    return PlanExecutor(spark, catalog).execute(spec, mode=system, collect=collect)
 
 
 def oracle_check(spark, catalog: Catalog, spec: QuerySpec, system: str) -> ExecOutcome:
