@@ -1,9 +1,9 @@
 """Timing harness and table formatting for the paper's evaluation tables.
 
-Timing protocol follows §7.1, with 5 runs reduced to 2: every query gets
-``WARMUP`` warm-up executions, then the reported number is the mean of
-``RUNS`` successive timed executions of the end-to-end query (plan → rewrite →
-Spark execution → collect).
+Timing protocol follows §7.1: every query gets ``WARMUP`` warm-up
+executions, then ``RUNS`` successive timed executions of the end-to-end query
+(plan → rewrite → Spark execution → collect), reported as their median, min
+and max.
 """
 from __future__ import annotations
 
@@ -15,14 +15,15 @@ import pandas as pd
 
 from repro.exec.executor import ExecOutcome
 
-RUNS = 2
+RUNS = 5
 WARMUP = 1
 PCTS = (5, 25, 50, 75, 95)
 
 
 def time_query(fn: Callable[[], ExecOutcome], warmup: int = WARMUP,
-               runs: int = RUNS) -> tuple[float, ExecOutcome, list[float]]:
-    """Average wall-clock ms over ``runs`` executions after ``warmup``."""
+               runs: int = RUNS) -> tuple[dict[str, float], ExecOutcome]:
+    """Median, min and max wall-clock ms (keys ``ms``, ``min_ms``, ``max_ms``)
+    over ``runs`` executions after ``warmup``, and the last outcome."""
     out = None
     for _ in range(warmup):
         out = fn()
@@ -31,7 +32,8 @@ def time_query(fn: Callable[[], ExecOutcome], warmup: int = WARMUP,
         t0 = time.perf_counter()
         out = fn()
         samples.append((time.perf_counter() - t0) * 1000.0)
-    return float(np.mean(samples)), out, samples
+    stats = {"ms": float(np.median(samples)), "min_ms": min(samples), "max_ms": max(samples)}
+    return stats, out
 
 
 def run_suite(
@@ -40,13 +42,15 @@ def run_suite(
     warmup: int = WARMUP,
     runs: int = RUNS,
 ) -> pd.DataFrame:
-    """Run every (query, system) pair; returns a tidy results frame."""
+    """Run every (query, system) pair; returns a tidy results frame whose
+    ``ms`` is the median of ``runs``, beside ``min_ms`` and ``max_ms``."""
     rows = []
     for qname, spec in specs.items():
         for system, runner in runners.items():
-            ms, out, _ = time_query(lambda: runner(spec), warmup, runs)
+            stats, out = time_query(lambda: runner(spec), warmup, runs)
             rows.append({
-                "query": qname, "system": system, "ms": round(ms, 1),
+                "query": qname, "system": system,
+                **{k: round(v, 1) for k, v in stats.items()},
                 "rows": 0 if out.result is None else len(out.result),
                 "scanned": out.metrics.total_scanned,
                 "table_rows": out.metrics.total_table_rows,

@@ -30,7 +30,8 @@ def spectrum_for_query(
     ex = PlanExecutor(spark, catalog)
 
     def ms(cfg, order=None) -> float:
-        return time_query(lambda: ex.execute(spec, mode=cfg, order=order), runs=runs)[0]
+        stats, _ = time_query(lambda: ex.execute(spec, mode=cfg, order=order), runs=runs)
+        return stats["ms"]
 
     rows = []
     for order in enumerate_left_deep_orders(spec, limit=max_plans):

@@ -10,9 +10,9 @@ This is the repo's stand-in for the storage layer the paper extends (§3):
 - ``build_rid_index`` builds the CSR RID index (optionally extended, §5.2).
 
 Tables are loaded as pandas (deterministic generators), RID-materialized in
-pandas (a single vectorized merge per predefinition), then ``finalize(spark)``
+pandas (a single vectorized merge per predefinition), then ``finalize()``
 caches each in Spark behind a temp view (``Table.view``, unique per catalog)
-that both executors' SQL scans.
+that both executors' SQL scans; the tables load concurrently, one per core.
 The DuckDB oracle sees each table's registered columns only
 (``Table.pdf_original``).
 
@@ -27,6 +27,7 @@ executor all branch on its answer.
 from __future__ import annotations
 
 import uuid
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import duckdb
@@ -230,18 +231,33 @@ class Catalog:
         """Cache and materialize each table in Spark and register it as a
         temp view.
 
-        ``createDataFrame`` from pandas yields one partition per Arrow batch
-        (~8k rows), which turns every scan into ~100 tiny tasks; coalesce to
-        ~200k rows per partition before caching.
+        A table under 200k rows loads in a one-task Spark job, so the tables
+        load concurrently on a pool of ``defaultParallelism`` threads: one
+        table per Spark core. Below
+        ``spark.sql.execution.arrow.localRelationThreshold`` (48 MB)
+        ``createDataFrame`` from pandas is a local relation, which Spark scans
+        as ``defaultParallelism`` partitions; coalesce to ~200k rows per
+        partition before caching.
+
+        If a load fails, the first error in table order is raised once every
+        load has ended, and the catalog stays unfinalized. A view is registered
+        before its data is materialized, so ``unpersist`` releases every table
+        that was persisted.
         """
         if self._finalized:
             return
-        for t in self.tables.values():
+
+        def load(t: Table) -> None:
             n_parts = max(1, min(16, -(-t.n_rows // 200_000)))
             df = self.spark.createDataFrame(t.pdf).coalesce(n_parts).persist()
-            df.count()  # materialize so query timings exclude load
             t.view = f"{self._view_prefix}_{t.name}"
             df.createOrReplaceTempView(t.view)
+            df.count()  # materialize so query timings exclude load
+
+        with ThreadPoolExecutor(self.spark.sparkContext.defaultParallelism) as pool:
+            loads = [pool.submit(load, t) for t in self.tables.values()]
+        for f in loads:
+            f.result()
         self._finalized = True
 
     def unpersist(self) -> None:

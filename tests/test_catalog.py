@@ -3,6 +3,7 @@ index registration (paper §3)."""
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.errors import PySparkTypeError
 
 from repro.core.catalog import RID, Catalog, rid_col_name
 from repro.oracle import assert_equivalent
@@ -306,17 +307,67 @@ def test_catalogs_in_one_session_scan_their_own_tables(spark, follows_cat, snb_c
         assert out.df.toPandas()["n"].tolist() == [c.table("person").n_rows]
 
 
-def test_unpersist_drops_the_views(spark):
-    def persistent() -> int:
-        return spark.sparkContext._jsc.getPersistentRDDs().size()
+def _persistent_rdds(spark) -> int:
+    return spark.sparkContext._jsc.getPersistentRDDs().size()
 
+
+def test_unpersist_drops_the_views(spark):
     c = Catalog(spark)
     _register_pair(c)
-    before = persistent()
+    before = _persistent_rdds(spark)
     c.finalize()
     views = [c.table(name).view for name in ("p", "f")]
     assert all(spark.catalog.tableExists(v) for v in views)
-    assert persistent() == before + 2
+    assert _persistent_rdds(spark) == before + 2
     c.unpersist()
     assert not any(spark.catalog.tableExists(v) for v in views)
-    assert persistent() == before  # dropping a view uncaches its data
+    assert _persistent_rdds(spark) == before  # dropping a view uncaches its data
+
+
+def test_finalize_loads_more_tables_than_cores(spark):
+    # More tables than the load pool has threads; every table has a distinct
+    # row count, so a view bound to another table's data would show.
+    n = 2 * spark.sparkContext.defaultParallelism + 1
+    c = Catalog(spark)
+    c.register("t0", pd.DataFrame({"k": np.arange(5) * 10}))
+    for i in range(1, n):
+        rows = 5 + i
+        c.register(f"t{i}", pd.DataFrame({
+            "k": np.arange(rows), "s": [f"s{i}_{r}" for r in range(rows)],
+            "x": np.arange(rows) / 4.0, "fk": (np.arange(rows) % 5) * 10,
+        }))
+        c.predefine_join(f"t{i}", ["fk"], "t0", ["k"])
+    before = _persistent_rdds(spark)
+    c.finalize()
+    views = [t.view for t in c.tables.values()]
+    assert len(set(views)) == n
+    assert _persistent_rdds(spark) == before + n
+    for t in c.tables.values():
+        assert spark.catalog.isCached(t.view)
+        df = spark.table(t.view)
+        if t.rid_cols:
+            assert dict(df.dtypes)[t.rid_cols[("fk",)]] == "bigint"
+        got = df.toPandas().sort_values(RID).reset_index(drop=True)
+        pd.testing.assert_frame_equal(got, t.pdf)
+    c.unpersist()
+    assert _persistent_rdds(spark) == before
+
+
+@pytest.mark.filterwarnings("ignore:createDataFrame attempted Arrow optimization")
+def test_finalize_raises_after_every_load_ends(spark):
+    # An object column mixing int and bytes converts to neither Arrow nor a
+    # Spark schema (int and str would merge to string), so that table's load
+    # fails; the tables after it still load before ``finalize`` raises.
+    c = Catalog(spark)
+    c.register("bad", pd.DataFrame({"m": pd.Series([1, b"a"], dtype=object)}))
+    for i in range(3):
+        c.register(f"ok{i}", pd.DataFrame({"x": np.arange(4 + i)}))
+    before = _persistent_rdds(spark)
+    with pytest.raises(PySparkTypeError, match="CANNOT_MERGE_TYPE"):
+        c.finalize()
+    assert not c._finalized
+    assert c.table("bad").view is None
+    assert _persistent_rdds(spark) == before + 3
+    assert all(spark.catalog.isCached(c.table(f"ok{i}").view) for i in range(3))
+    c.unpersist()
+    assert _persistent_rdds(spark) == before

@@ -13,12 +13,35 @@ def _fake_outcome(scanned=10):
     return ExecOutcome(result=pd.DataFrame({"x": [1, 2]}), metrics=m)
 
 
+def _timed_runner(monkeypatch, durations_ms):
+    """A runner whose successive calls take ``durations_ms`` on the harness's
+    clock, which is replaced by a fake one."""
+    now = [0.0]
+    steps = iter(durations_ms)
+    monkeypatch.setattr(harness.time, "perf_counter", lambda: now[0])
+
+    def run(_spec=None):
+        now[0] += next(steps) / 1000.0
+        return _fake_outcome()
+    return run
+
+
+def test_time_query_median_min_max(monkeypatch):
+    # One warm-up (untimed), then RUNS = 5 timed runs.
+    run = _timed_runner(monkeypatch, [999.0, 30.0, 10.0, 50.0, 20.0, 40.0])
+    stats, out = harness.time_query(run)
+    assert (harness.WARMUP, harness.RUNS) == (1, 5)
+    assert stats == pytest.approx({"ms": 30.0, "min_ms": 10.0, "max_ms": 50.0})
+    assert out.metrics.total_scanned == 10
+
+
 def test_time_query_runs_and_warmups():
     calls = []
-    ms, out, samples = harness.time_query(
+    stats, out = harness.time_query(
         lambda: calls.append(1) or _fake_outcome(), warmup=2, runs=3
     )
-    assert len(calls) == 5 and len(samples) == 3 and ms >= 0
+    assert len(calls) == 5
+    assert 0 <= stats["min_ms"] <= stats["ms"] <= stats["max_ms"]
     assert out.metrics.total_scanned == 10
 
 
@@ -27,7 +50,14 @@ def test_run_suite_shape():
     runners = {"A": lambda s: _fake_outcome(5), "B": lambda s: _fake_outcome(50)}
     df = harness.run_suite(specs, runners, warmup=0, runs=1)
     assert len(df) == 4
-    assert set(df.columns) >= {"query", "system", "ms", "scanned"}
+    assert set(df.columns) >= {"query", "system", "ms", "min_ms", "max_ms", "scanned"}
+
+
+def test_run_suite_reports_median_min_max(monkeypatch):
+    run = _timed_runner(monkeypatch, [999.0, 7.0, 3.0, 5.0])
+    df = harness.run_suite({"q": object()}, {"A": run}, warmup=1, runs=3)
+    row = df.iloc[0]
+    assert (row["ms"], row["min_ms"], row["max_ms"]) == pytest.approx((5.0, 3.0, 7.0))
 
 
 def test_percentile_table():
