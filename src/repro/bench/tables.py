@@ -36,9 +36,6 @@ RESULTS = Path(__file__).resolve().parents[3] / "results"
 SPARK_CONF = {
     "spark.sql.shuffle.partitions": "16",
     "spark.sql.execution.arrow.pyspark.enabled": "true",
-    # Bounded Arrow batches, so exploding INLJ extends cannot exhaust the
-    # JVM's direct-memory pool.
-    "spark.sql.execution.arrow.maxRecordsPerBatch": "8192",
     # AQE re-optimization adds ~25% fixed latency per action at this scale
     # and never changes these small plans for the better.
     "spark.sql.adaptive.enabled": "false",

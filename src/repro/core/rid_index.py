@@ -10,6 +10,11 @@ F-RID, the materialized RID of a second entity table *P2* — the analogue of
 storing both edge IDs and neighbour node IDs in an adjacency list. It enables
 (a) reverse semijoins ``F ⋉ P`` via SIP (SJoinIdxR) and (b) the join-merging
 optimization that skips the scan of *F* entirely (SJoinIdxM).
+
+The index lives in the driver only: semijoin propagation reads it
+(``lookup_many``) and SJoinIdxM's pairs relation is gathered from it
+(``pairs``). The INLJ executor's EXTEND joins *F*'s pointer columns in Spark
+instead, and only checks that the index exists.
 """
 from __future__ import annotations
 
@@ -77,12 +82,3 @@ class RIDIndex:
         p_rids = np.asarray(p_rids, dtype=np.int64)
         rep, gidx = self._gather_idx(p_rids)
         return p_rids[rep], self.f_rids[gidx], self.ext_rids[gidx]
-
-    def extend(self, p_rids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """GDBMS-style EXTEND over a batch of bound node RIDs: returns
-        (input_row_positions, f_rids, ext_rids_or_f_rids) where the first array
-        maps each output entry back to its input row. Used by the INLJ
-        executor (adjacency-list lookup — random access into the index)."""
-        rep, gidx = self._gather_idx(p_rids)
-        ext = self.ext_rids[gidx] if self.ext_rids is not None else self.f_rids[gidx]
-        return rep, self.f_rids[gidx], ext

@@ -9,9 +9,9 @@ the outer ``SELECT [DISTINCT] … WHERE <residuals> GROUP BY …``. An applied
 ScanSJ is text in its scan too (``repro.exec.sip``). The only relations that
 are not text are the ones the driver computes, SJoinIdxM's index pairs and a
 ScanSJ RID set too large for an ``IN`` list; ``_Ctx.relation`` builds both,
-and they enter the statement as named ``spark.sql`` DataFrame arguments. The
-INLJ executor (``repro.exec.inlj``) builds its statements from the same
-``scan_text``, ``finish`` and ``run_sql``.
+and they are the only named ``spark.sql`` DataFrame arguments. The INLJ
+executor (``repro.exec.inlj``) builds its one statement from the same
+``scan_text`` and ``finish``, with no arguments.
 
 Compilation mirrors hash-join pipeline semantics: for every SJoin variant the
 build subtree's RID sets are determined first, masks are registered for the
@@ -129,14 +129,6 @@ def _esc(text: str) -> str:
     """Spec text as statement text: ``spark.sql`` formats a statement that has
     named arguments with ``str.format``, so literal braces are doubled."""
     return text.replace("{", "{{").replace("}", "}}")
-
-
-def run_sql(spark: SparkSession, sql: str, args: dict[str, DataFrame]) -> DataFrame:
-    """Run statement text whose literal braces are doubled (``_esc``) and
-    whose ``{name}`` references name the DataFrames ``args``. ``spark.sql``
-    formats only a statement that has arguments, so one without is unescaped
-    here."""
-    return spark.sql(sql, **args) if args else spark.sql(sql.format())
 
 
 def scan_text(t: Table, alias: str, cols: list[str], filters: list[str],
@@ -374,7 +366,9 @@ def finish(spark: SparkSession, spec: QuerySpec, body: str,
     """The one statement of an execution: residual filters, projection /
     aggregation and distinct over ``body``, the SQL text of the joined
     ``alias__col`` relation whose DataFrames are the named ``args``. Shared by
-    the relational and the INLJ executors."""
+    the relational and the INLJ executors. Literal braces in the text are
+    doubled (``_esc``); ``spark.sql`` formats only a statement that has
+    arguments, so one without is unescaped here."""
     al = spec.aliases
     sel = [(_esc(qualify(e, al)), o) for e, o in spec.select]
     head = "SELECT DISTINCT" if spec.distinct and spec.group_by is None else "SELECT"
@@ -384,4 +378,4 @@ def finish(spark: SparkSession, spec: QuerySpec, body: str,
         sql += " WHERE " + " AND ".join(f"({_esc(qualify(f, al))})" for f in residual)
     if spec.group_by:
         sql += " GROUP BY " + ", ".join(e for e, o in sel if o in spec.group_by)
-    return run_sql(spark, sql, args)
+    return spark.sql(sql, **args) if args else spark.sql(sql.format())

@@ -11,18 +11,20 @@ paper describes their execution as:
    (random access into the base tables) and only then run their filters.
 
 We reproduce exactly that shape: the seed is a full scan + filter; EXTEND is a
-broadcast-CSR ragged gather inside ``mapInPandas`` (lookups happen per bound
-tuple, intermediate tuples are materialized *before* edge filters run);
-property reads are RID joins against the full base table — never SIP-pruned,
-which is the structural disadvantage the paper measures against.
+hash join of the bound tuples with *F*'s pointer columns (``_rid``, the
+pointer keyed on and, for an extended index, the second pointer), *F*'s side
+the broadcast build, so each bound tuple is one lookup and the intermediate
+tuples exist before any edge filter runs; property reads, and the edge filters
+with them, are RID joins against the full base table after the extension —
+never SIP-pruned, which is the structural disadvantage the paper measures
+against. An EXTEND still needs a RID index: a GDBMS extends only where an
+adjacency list exists.
 
 The plan is built as SQL text over the catalog's views, like the relational
 executor's, with the same scan text (``executor.scan_text``): scans, pointer
-lookups, property reads and the post-hoc checks of edges the traversal did
-not consume are all statement text. Each EXTEND runs the text built so far
-with one ``spark.sql`` call and gathers over its output; the gathered
-DataFrame enters the next text as the named argument ``{inlj}``, and
-``finish`` runs the last statement.
+lookups, extensions, property reads and the post-hoc checks of edges the
+traversal did not consume are all statement text, and ``finish`` runs it as
+one ``spark.sql`` call.
 
 The binding order is derived greedily: seed = most selective node, then the
 cheapest extension.
@@ -31,14 +33,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql.types import LongType, StructField, StructType
+from pyspark.sql import SparkSession
 
-from repro.core.catalog import RID, Catalog
-from repro.core.rid_index import RIDIndex
-from repro.exec.executor import (BROADCAST_MAX_ROWS, ExecMetrics, ExecOutcome, finish,
-                                 run_sql, scan_text)
+from repro.core.catalog import RID, Catalog, Table
+from repro.exec.executor import BROADCAST_MAX_ROWS, ExecMetrics, ExecOutcome, finish, scan_text
 from repro.plan.optimizer import filtered_cardinalities
 from repro.plan.spec import JoinEdge, QuerySpec
 
@@ -146,43 +144,12 @@ def _find_dst(spec, catalog, f_alias, fk_cols, bound, consumed, edge_id):
     return None, []
 
 
-def _extend_df(
-    spark: SparkSession,
-    df: DataFrame,
-    src_col: str,
-    idx: RIDIndex,
-    f_col: str,
-    dst_col: str | None,
-) -> DataFrame:
-    """EXTEND: per-tuple adjacency-list lookup (ragged gather over broadcast CSR).
-
-    Output is yielded in bounded slices: a hub-heavy batch can explode by the
-    average degree squared across consecutive extends, and emitting it as one
-    Arrow batch exhausts the JVM's direct-memory pool. Slicing keeps peak
-    memory flat without changing the (bag) semantics.
-    """
-    bc = spark.sparkContext.broadcast(idx)
-    fields = list(df.schema.fields) + [StructField(f_col, LongType())]
-    if dst_col:
-        fields.append(StructField(dst_col, LongType()))
-    schema = StructType(fields)
-    out_chunk = 65_536
-
-    def gen(batches):
-        index = bc.value
-        for pdf in batches:
-            src = pdf[src_col].to_numpy(dtype=np.int64) if len(pdf) else np.empty(0, np.int64)
-            rep, f_rids, ext = index.extend(src)
-            # An empty batch still yields one (empty) frame.
-            for lo in range(0, max(1, len(rep)), out_chunk):
-                hi = lo + out_chunk
-                out = pdf.iloc[rep[lo:hi]].copy()
-                out[f_col] = f_rids[lo:hi]
-                if dst_col:
-                    out[dst_col] = ext[lo:hi]
-                yield out
-
-    return df.mapInPandas(gen, schema)
+def _hash_join(body: str, t: Table, right: str, on: str) -> str:
+    """``body`` joined with ``right``, a relation over ``t``'s view, as a hash
+    lookup: ``right`` is the broadcast build under the relational executor's
+    size rule, and the bound tuples stream through it."""
+    hint = "/*+ BROADCAST(r) */ " if t.n_rows <= BROADCAST_MAX_ROWS else ""
+    return f"(SELECT {hint}* FROM {body} AS l JOIN {right} AS r ON {on})"
 
 
 class GraphExecutor:
@@ -208,8 +175,6 @@ class GraphExecutor:
         for b in binds:
             if b.rid_col is not None:  # lookup / FK–FK extend read via's pointer col
                 props[b.via].add(b.rid_col)
-        # The text built so far reads the last EXTEND's output as ``{inlj}``.
-        args: dict[str, DataFrame] = {}
 
         def scan(alias: str) -> str:
             t = self.catalog.table(spec.table_of(alias))
@@ -219,15 +184,12 @@ class GraphExecutor:
 
         def prop_read(body: str, alias: str) -> str:
             """Join the properties of ``alias`` (bound to ``__rid_<alias>``)
-            after the traversal, if it has any or is filtered. The table side
-            is the broadcast build, under the relational executor's size rule:
-            a hash lookup by RID, like a GDBMS's random property access."""
+            after the traversal, if it has any or is filtered: a hash lookup
+            by RID, like a GDBMS's random property access."""
             if not (props[alias] or spec.scan_filters(alias)):
                 return body
-            t = self.catalog.table(spec.table_of(alias))
-            hint = "/*+ BROADCAST(r) */ " if t.n_rows <= BROADCAST_MAX_ROWS else ""
-            return (f"(SELECT {hint}* FROM {body} AS l JOIN {scan(alias)} AS r "
-                    f"ON `__rid_{alias}` = `{alias}__{RID}`)")
+            return _hash_join(body, self.catalog.table(spec.table_of(alias)), scan(alias),
+                              f"`__rid_{alias}` = `{alias}__{RID}`")
 
         body = ""
         for b in binds:
@@ -237,21 +199,23 @@ class GraphExecutor:
             elif b.kind == "lookup":
                 body = prop_read(f"(SELECT *, `{b.via}__{b.rid_col}` AS `__rid_{b.alias}` "
                                  f"FROM {body} AS q)", b.alias)
-            else:  # extend
+            else:  # extend: look each bound tuple up in F's pointer columns
                 # An FK–FK hop keys on via's pointer col.
                 src = f"__rid_{b.via}" if b.rid_col is None else f"{b.via}__{b.rid_col}"
-                df = run_sql(self.spark, f"SELECT * FROM {body} AS q", args)
-                args = {"inlj": _extend_df(
-                    self.spark, df, src, self.catalog.rid_index(*b.index_key),
-                    f"__rid_{b.alias}", f"__rid_{b.dst}" if b.dst else None,
-                )}
-                body = prop_read("{inlj}", b.alias)
+                f = self.catalog.table(b.index_key[0])
+                cols = [f"`{RID}` AS `__rid_{b.alias}`",
+                        f"`{self.catalog.predefined[b.index_key].rid_col}` AS `__key_{b.alias}`"]
+                if b.dst:
+                    ext_pj = self.catalog.index_ext_target[b.index_key]
+                    cols.append(f"`{ext_pj.rid_col}` AS `__rid_{b.dst}`")
+                body = prop_read(_hash_join(body, f, f"(SELECT {', '.join(cols)} FROM `{f.view}`)",
+                                            f"`{src}` = `__key_{b.alias}`"), b.alias)
                 if b.dst:
                     body = prop_read(body, b.dst)
         if keyed:
             cond = " AND ".join(f"`{e.left_alias}__{lc}` = `{e.right_alias}__{rc}`"
                                 for e in keyed for lc, rc in zip(e.left_cols, e.right_cols))
             body = f"(SELECT * FROM {body} AS q WHERE {cond})"
-        out = finish(self.spark, spec, body, args)
+        out = finish(self.spark, spec, body, {})
         result = out.toPandas() if collect else None
         return ExecOutcome(result=result, metrics=metrics, df=None if collect else out)

@@ -1,12 +1,14 @@
 """INLJ (GDBMS-style) executor tests: binding order, extends, lookups,
-property reads — oracle-checked against the same specs."""
+property reads — oracle-checked against the same specs — and the executed
+shape every system shares: no Python worker, one statement per execution."""
 import pytest
+from pyspark.sql import SparkSession
 
 from repro.bench import workloads_snb
 from repro.bench.runners import run_system
 from repro.exec.inlj import GraphExecutor, _derive_order
 from repro.plan.spec import JoinEdge, QuerySpec, TableRef
-from tests.util import oracle_check
+from tests.util import ALL_SYSTEMS, oracle_check
 
 _SNB = workloads_snb.specs()
 
@@ -105,11 +107,31 @@ def test_value_edge_has_no_graph_plan(spark, follows_cat):
 
 @pytest.mark.parametrize("qname", sorted(_SNB))
 def test_one_gather_per_extend(spark, snb_cat, qname):
+    """Each EXTEND is a broadcast hash join of the frontier with F's pointer
+    columns, not a Python worker; no system's plan holds one."""
     spec = _SNB[qname]
+    plans = {s: run_system(spark, snb_cat, spec, s, collect=False)
+             .df._jdf.queryExecution().executedPlan().toString() for s in ALL_SYSTEMS}
+    assert [s for s, p in plans.items() if "MapInPandas" in p] == []
+    plan = plans["GraphflowDB"]
     n_extend = sum(b.kind == "extend" for b in _derive_order(spec, snb_cat))
-    df = run_system(spark, snb_cat, spec, "GraphflowDB", collect=False).df
-    plan = df._jdf.queryExecution().executedPlan().toString()
-    assert plan.count("MapInPandas") == n_extend
-    # Property reads are broadcast hash joins: no sort-merge join, no shuffle.
+    assert plan.count("BroadcastHashJoin") >= n_extend
+    # Extensions and property reads are broadcast hash joins: no sort-merge
+    # join, no shuffle.
     assert "SortMergeJoin" not in plan
     assert "Exchange hashpartitioning" not in plan
+
+
+@pytest.mark.parametrize("system", ALL_SYSTEMS)
+@pytest.mark.parametrize("qname", ["IS3", "IC1-1", "IC6-1", "IC9-2"])
+def test_one_statement_per_execution(spark, snb_cat, monkeypatch, qname, system):
+    calls = []
+    sql = SparkSession.sql
+
+    def counted(self, *args, **kwargs):
+        calls.append(args[0])
+        return sql(self, *args, **kwargs)
+
+    monkeypatch.setattr(SparkSession, "sql", counted)
+    run_system(spark, snb_cat, _SNB[qname], system, collect=False)
+    assert len(calls) == 1

@@ -62,19 +62,6 @@ def test_pairs_multiplicity_preserved():
     assert len(f) == 2 and ext.tolist() == [5, 5]
 
 
-def test_extend_maps_back_to_inputs():
-    idx = _idx()
-    rep, f, ext = idx.extend(np.array([2, 0]))
-    assert rep.tolist() == [0, 1, 1, 1]  # one hit for key 2, three for key 0
-    assert f.tolist() == [1, 0, 2, 4]
-
-
-def test_extend_without_ext_returns_f_rids():
-    idx = _idx(ext=False)
-    _, f, ext = idx.extend(np.array([1]))
-    assert f.tolist() == ext.tolist() == [3]
-
-
 def test_empty_key_batch_on_empty_lists():
     idx = _idx()
     src, f, ext = idx.pairs(np.array([3]))  # person 3 has no followers
