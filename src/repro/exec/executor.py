@@ -6,12 +6,12 @@ parses and analyses the whole query once. A scan is a subquery that renames
 every column to ``alias__col`` and applies the spec's filter text verbatim
 (``scan_text``); a join is a hinted ``JOIN`` of its children; ``finish`` is
 the outer ``SELECT [DISTINCT] … WHERE <residuals> GROUP BY …``. An applied
-ScanSJ is text in its scan too (``repro.exec.sip``). The only relations that
-are not text are the ones the driver computes, SJoinIdxM's index pairs and a
-ScanSJ RID set too large for an ``IN`` list; ``_Ctx.relation`` builds both,
-and they are the only named ``spark.sql`` DataFrame arguments. The INLJ
-executor (``repro.exec.inlj``) builds its one statement from the same
-``scan_text`` and ``finish``, with no arguments.
+ScanSJ is text in its scan too (``repro.exec.sip``). So are the relations
+the driver computes, SJoinIdxM's index pairs and a ScanSJ RID set too large
+for an ``IN`` list: ``relation_text`` renders both, so every statement is text
+and ``spark.sql`` gets no arguments. The INLJ executor (``repro.exec.inlj``)
+builds its one statement from the same ``scan_text``, ``hash_join`` and
+``finish``.
 
 Compilation mirrors hash-join pipeline semantics: for every SJoin variant the
 build subtree's RID sets are determined first, masks are registered for the
@@ -41,12 +41,10 @@ table is never scanned at all.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql.types import LongType, StructField, StructType
 
 from repro.core.bitmask import SemiJoinMasks
 from repro.core.catalog import RID, Catalog, Table
@@ -99,51 +97,57 @@ class ExecOutcome:
 
 
 class _Ctx:
-    def __init__(self, spark: SparkSession, cfg: GrainConfig) -> None:
-        self.spark = spark
+    def __init__(self, cfg: GrainConfig) -> None:
         self.cfg = cfg
         self.masks: dict[str, SemiJoinMasks] = {}
         # alias -> Catalog.scan_rids result, so a scan under several SJoin
         # builds is evaluated once per execution (never across executions).
         self.scan_rids: dict[str, np.ndarray] = {}
         self.metrics = ExecMetrics()
-        # DataFrames the statement reads, by ``spark.sql`` argument name.
-        self.args: dict[str, DataFrame] = {}
-
-    def arg(self, df: DataFrame) -> str:
-        """Reference to ``df`` in the statement's text."""
-        name = f"arg{len(self.args)}"
-        self.args[name] = df
-        return f"{{{name}}}"
-
-    def relation(self, cols: dict[str, np.ndarray]) -> str:
-        """Reference to a relation the driver built from ``cols``, in one
-        partition. Its columns are ``long`` by schema, so an empty relation
-        has one too."""
-        schema = StructType([StructField(c, LongType()) for c in cols])
-        return self.arg(self.spark.createDataFrame(pd.DataFrame(cols), schema=schema)
-                        .coalesce(1))
 
 
-def _esc(text: str) -> str:
-    """Spec text as statement text: ``spark.sql`` formats a statement that has
-    named arguments with ``str.format``, so literal braces are doubled."""
-    return text.replace("{", "{{").replace("}", "}}")
+def relation_text(cols: dict[str, np.ndarray]) -> str:
+    """SQL text of a relation the driver built: one ``bigint`` column per
+    entry of ``cols`` (equal-length integer arrays), one row per position,
+    duplicates kept. Each column is one comma-separated string literal, so
+    the parser sees one token per column, not one per value as in a
+    ``VALUES`` list; its cast to ``ARRAY<BIGINT>`` folds to a literal array
+    at optimization, so no row parses a string. An empty relation has its
+    own text, since ``CAST('' AS BIGINT)`` fails under ANSI mode."""
+    if len(next(iter(cols.values()))) == 0:
+        typed = ", ".join(f"CAST(NULL AS BIGINT) AS `{c}`" for c in cols)
+        return f"(SELECT {typed} WHERE FALSE)"
+    named = ", ".join(f"z.`{i}` AS `{c}`" for i, c in enumerate(cols))
+    arrays = ", ".join(f"CAST(split('{','.join(map(str, v.tolist()))}', ',') AS ARRAY<BIGINT>)"
+                       for v in cols.values())
+    return f"(SELECT {named} FROM (SELECT inline(arrays_zip({arrays}))) AS z)"
+
+
+def hash_join(left: str, right: str, on: str, build: str, build_rows: float) -> str:
+    """SQL text of ``left`` joined with ``right`` on ``on``, shared by both
+    executors: a broadcast hash join that builds on the ``build`` side
+    (``"left"`` or ``"right"``) and streams the other through it, unless
+    ``build_rows`` exceeds ``BROADCAST_MAX_ROWS`` and the join is left to
+    Catalyst."""
+    hint = ""
+    if build_rows <= BROADCAST_MAX_ROWS:
+        hint = f"/*+ BROADCAST({'l' if build == 'left' else 'r'}) */ "
+    return f"(SELECT {hint}* FROM {left} AS l JOIN {right} AS r ON {on})"
 
 
 def scan_text(t: Table, alias: str, cols: list[str], filters: list[str],
-              narrow: Callable[[str], tuple[str, str | None]] | None = None) -> str:
+              masks: SemiJoinMasks | None = None) -> str:
     """SQL text of a scan of ``t``'s view as ``alias``, shared by both
     executors: the columns ``cols`` renamed ``alias__col`` and the spec's
-    ``filters`` verbatim. ``narrow``, an applied ScanSJ, maps the ``FROM``
-    item to a new one and an extra ``WHERE`` conjunct (or ``None``)."""
+    ``filters`` verbatim, narrowed by ScanSJ when ``masks`` is given (an
+    applied mask, see ``sip.apply_sip_filter``)."""
     missing = [c for c in cols if c not in t.pdf.columns]
     if missing:
         raise KeyError(f"{t.name} has no columns {missing}")
     source = f"`{t.view}` AS `{alias}`"
-    where = [f"({_esc(f)})" for f in filters]
-    if narrow is not None:
-        source, cond = narrow(source)
+    where = [f"({f})" for f in filters]
+    if masks is not None:
+        source, cond = sip.apply_sip_filter(relation_text, source, alias, masks)
         if cond:
             where.append(cond)
     sql = (f"SELECT {', '.join(f'`{alias}`.`{c}` AS `{alias}__{c}`' for c in cols)} "
@@ -223,10 +227,10 @@ class PlanExecutor:
 
     def execute_plan(self, spec: QuerySpec, plan: PlanNode,
                      cfg: GrainConfig = GRAIN_FULL, collect: bool = True) -> ExecOutcome:
-        ctx = _Ctx(self.spark, cfg)
+        ctx = _Ctx(cfg)
         ctx.metrics.plan = describe(plan)
         body = self._compile(plan, spec, _plan_needed(spec, plan), ctx)
-        df = finish(self.spark, spec, body, ctx.args)
+        df = finish(self.spark, spec, body)
         result = df.toPandas() if collect else None
         return ExecOutcome(result=result, metrics=ctx.metrics, df=None if collect else df)
 
@@ -244,12 +248,10 @@ class PlanExecutor:
         # to broadcast: the RID equi-join enforces the same predicate, so
         # skipping is correctness-neutral (the paper's "no major overheads"
         # property).
-        narrow = None
-        if (masks is not None and sip.should_apply(masks)
+        if not (masks is not None and sip.should_apply(masks)
                 and masks.selected_rows() <= BROADCAST_MAX_ROWS):
-            def narrow(source: str) -> tuple[str, str | None]:
-                return sip.apply_sip_filter(ctx.relation, source, a, masks)
-        return scan_text(t, a, _scan_cols(t, a, needed), node.filters, narrow)
+            masks = None
+        return scan_text(t, a, _scan_cols(t, a, needed), node.filters, masks)
 
     def _subtree_sets(self, subtree: PlanNode, spec: QuerySpec,
                       ctx: _Ctx) -> dict[str, np.ndarray | None]:
@@ -259,6 +261,9 @@ class PlanExecutor:
         a pure function of its filters and earlier masks: no Spark job. Aliases
         of join-merged relationship tables participate as unfiltered hops so
         information still flows through them."""
+        # Imported at call time, not with ``_via`` at the top: the benchmark's
+        # layer tracer replaces the module attribute, and a name bound at
+        # import would bypass it.
         from repro.core.semijoin_reduce import propagate
 
         init: dict[str, np.ndarray | None] = {}
@@ -317,12 +322,9 @@ class PlanExecutor:
                 self._register_sip(s, sets, spec, ctx)
         probe = self._compile(probe_child, spec, needed, ctx)
         left, right = (build, probe) if node.build == "left" else (probe, build)
-        hint = ""
-        if build_child.est_rows <= BROADCAST_MAX_ROWS:
-            hint = f"/*+ BROADCAST({'l' if node.build == 'left' else 'r'}) */ "
         on = " AND ".join(f"`{la}__{lc}` = `{ra}__{rc}`"
                           for (la, lc), (ra, rc) in node.conds)
-        return f"(SELECT {hint}* FROM {left} AS l JOIN {right} AS r ON {on})"
+        return hash_join(left, right, on, node.build, build_child.est_rows)
 
     def _merge(self, node: MergeJoinNode, spec: QuerySpec,
                needed: dict[str, set[str]], ctx: _Ctx) -> str:
@@ -340,7 +342,7 @@ class PlanExecutor:
         ctx.metrics.scanned[node.f_alias] = 0
         ctx.metrics.table_rows[node.f_alias] = self.catalog.table(node.f_table).n_rows
         probe = self._compile(node.probe, spec, needed, ctx)
-        pairs = ctx.relation({"__m_p1": src, "__m_p2": dst})
+        pairs = relation_text({"__m_p1": src, "__m_p2": dst})
         # The pairs relation comes straight out of the in-memory RID index, so
         # broadcast it (the analogue of the index lookups feeding SJoinIdxM),
         # then broadcast ``build ⋈ pairs`` as the build of the join with the
@@ -361,21 +363,18 @@ class PlanExecutor:
                 f"ON `__m_p2` = `{node.p2_alias}__{RID}`)")
 
 
-def finish(spark: SparkSession, spec: QuerySpec, body: str,
-           args: dict[str, DataFrame]) -> DataFrame:
+def finish(spark: SparkSession, spec: QuerySpec, body: str) -> DataFrame:
     """The one statement of an execution: residual filters, projection /
     aggregation and distinct over ``body``, the SQL text of the joined
-    ``alias__col`` relation whose DataFrames are the named ``args``. Shared by
-    the relational and the INLJ executors. Literal braces in the text are
-    doubled (``_esc``); ``spark.sql`` formats only a statement that has
-    arguments, so one without is unescaped here."""
+    ``alias__col`` relation. Shared by the relational and the INLJ
+    executors."""
     al = spec.aliases
-    sel = [(_esc(qualify(e, al)), o) for e, o in spec.select]
+    sel = [(qualify(e, al), o) for e, o in spec.select]
     head = "SELECT DISTINCT" if spec.distinct and spec.group_by is None else "SELECT"
     sql = f"{head} {', '.join(f'{e} AS `{o}`' for e, o in sel)} FROM {body} AS q"
     residual = spec.residual_filters()
     if residual:
-        sql += " WHERE " + " AND ".join(f"({_esc(qualify(f, al))})" for f in residual)
+        sql += " WHERE " + " AND ".join(f"({qualify(f, al)})" for f in residual)
     if spec.group_by:
         sql += " GROUP BY " + ", ".join(e for e, o in sel if o in spec.group_by)
-    return spark.sql(sql, **args) if args else spark.sql(sql.format())
+    return spark.sql(sql)

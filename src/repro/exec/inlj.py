@@ -21,10 +21,10 @@ against. An EXTEND still needs a RID index: a GDBMS extends only where an
 adjacency list exists.
 
 The plan is built as SQL text over the catalog's views, like the relational
-executor's, with the same scan text (``executor.scan_text``): scans, pointer
-lookups, extensions, property reads and the post-hoc checks of edges the
-traversal did not consume are all statement text, and ``finish`` runs it as
-one ``spark.sql`` call.
+executor's, with the same scan and join text (``executor.scan_text``,
+``executor.hash_join``): scans, pointer lookups, extensions, property reads
+and the post-hoc checks of edges the traversal did not consume are all
+statement text, and ``finish`` runs it as one ``spark.sql`` call.
 
 The binding order is derived greedily: seed = most selective node, then the
 cheapest extension.
@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 from pyspark.sql import SparkSession
 
-from repro.core.catalog import RID, Catalog, Table
-from repro.exec.executor import BROADCAST_MAX_ROWS, ExecMetrics, ExecOutcome, finish, scan_text
+from repro.core.catalog import RID, Catalog
+from repro.exec.executor import ExecMetrics, ExecOutcome, finish, hash_join, scan_text
 from repro.plan.optimizer import filtered_cardinalities
 from repro.plan.spec import JoinEdge, QuerySpec
 
@@ -144,14 +144,6 @@ def _find_dst(spec, catalog, f_alias, fk_cols, bound, consumed, edge_id):
     return None, []
 
 
-def _hash_join(body: str, t: Table, right: str, on: str) -> str:
-    """``body`` joined with ``right``, a relation over ``t``'s view, as a hash
-    lookup: ``right`` is the broadcast build under the relational executor's
-    size rule, and the bound tuples stream through it."""
-    hint = "/*+ BROADCAST(r) */ " if t.n_rows <= BROADCAST_MAX_ROWS else ""
-    return f"(SELECT {hint}* FROM {body} AS l JOIN {right} AS r ON {on})"
-
-
 class GraphExecutor:
     """Executes query specs with GDBMS-style left-deep INLJ plans."""
 
@@ -188,8 +180,8 @@ class GraphExecutor:
             by RID, like a GDBMS's random property access."""
             if not (props[alias] or spec.scan_filters(alias)):
                 return body
-            return _hash_join(body, self.catalog.table(spec.table_of(alias)), scan(alias),
-                              f"`__rid_{alias}` = `{alias}__{RID}`")
+            return hash_join(body, scan(alias), f"`__rid_{alias}` = `{alias}__{RID}`",
+                             "right", self.catalog.table(spec.table_of(alias)).n_rows)
 
         body = ""
         for b in binds:
@@ -208,14 +200,15 @@ class GraphExecutor:
                 if b.dst:
                     ext_pj = self.catalog.index_ext_target[b.index_key]
                     cols.append(f"`{ext_pj.rid_col}` AS `__rid_{b.dst}`")
-                body = prop_read(_hash_join(body, f, f"(SELECT {', '.join(cols)} FROM `{f.view}`)",
-                                            f"`{src}` = `__key_{b.alias}`"), b.alias)
+                body = prop_read(hash_join(body, f"(SELECT {', '.join(cols)} FROM `{f.view}`)",
+                                           f"`{src}` = `__key_{b.alias}`", "right", f.n_rows),
+                                 b.alias)
                 if b.dst:
                     body = prop_read(body, b.dst)
         if keyed:
             cond = " AND ".join(f"`{e.left_alias}__{lc}` = `{e.right_alias}__{rc}`"
                                 for e in keyed for lc, rc in zip(e.left_cols, e.right_cols))
             body = f"(SELECT * FROM {body} AS q WHERE {cond})"
-        out = finish(self.spark, spec, body, {})
+        out = finish(self.spark, spec, body)
         result = out.toPandas() if collect else None
         return ExecOutcome(result=result, metrics=metrics, df=None if collect else out)

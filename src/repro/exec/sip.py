@@ -8,8 +8,9 @@ Bloom-filter SIP). ScanSJ is statement text in the scan itself:
   (Catalyst compiles it to an ``InSet`` hash-set probe per row); an empty set
   becomes ``FALSE``;
 - a larger set becomes a ``LEFT SEMI JOIN`` of the scan with a one-column
-  relation of the selected RIDs, hinted ``BROADCAST``: a hash-set probe per
-  row again, with no shuffle of the scanned table;
+  relation of the selected RIDs, written into the text and hinted
+  ``BROADCAST``: a hash-set probe per row again, with no shuffle of the
+  scanned table;
 - masks that prune too few rows to pay for either are not applied at all
   (``should_apply``) — the RID equi-join enforces the same predicate anyway,
   so skipping preserves correctness and mirrors the paper's "minor overheads
@@ -29,9 +30,10 @@ from repro.core.bitmask import SemiJoinMasks
 from repro.core.catalog import RID
 
 # Up to this many RIDs the set is an ``IN`` list in the scan's text, above it
-# a broadcast RID relation: parse and plan time per literal against the fixed
-# cost of building and broadcasting a relation. The value predates the RID
-# relation and is kept so that the ScanSJ decisions and plans stay the same.
+# a broadcast RID relation, itself text (``executor.relation_text``): parse
+# and plan time per literal against the fixed cost of expanding and
+# broadcasting a relation. The value predates the RID relation and is kept so
+# that the ScanSJ decisions and plans stay the same.
 ISIN_MAX = 64
 # Applying a large RID set costs building and broadcasting its relation and a
 # hash probe per scanned row; it pays for itself only when it keeps a large
@@ -59,8 +61,9 @@ def apply_sip_filter(relation: Callable[[dict[str, np.ndarray]], str], source: s
     """ScanSJ (the semijoin P ⋉ F) on a scan of ``source``, the ``FROM`` item
     that names the table ``alias``: the scan's new ``FROM`` item and an extra
     ``WHERE`` conjunct (or ``None``) that keep exactly the rows whose RID bit
-    is set. ``relation`` turns columns of RIDs into a driver-built relation
-    and returns its reference in the statement."""
+    is set. ``relation`` renders columns of RIDs as the SQL text of a
+    relation (``executor.relation_text``, passed in because the executor
+    imports this module)."""
     rid = f"`{alias}`.`{RID}`"
     rids = np.flatnonzero(masks.row)
     if rids.size == 0:

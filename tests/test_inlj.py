@@ -125,13 +125,18 @@ def test_one_gather_per_extend(spark, snb_cat, qname):
 @pytest.mark.parametrize("system", ALL_SYSTEMS)
 @pytest.mark.parametrize("qname", ["IS3", "IC1-1", "IC6-1", "IC9-2"])
 def test_one_statement_per_execution(spark, snb_cat, monkeypatch, qname, system):
+    # One ``spark.sql`` call whose text is the whole statement: no DataFrame
+    # arguments, so no relation the driver built is formatted into it.
     calls = []
     sql = SparkSession.sql
 
     def counted(self, *args, **kwargs):
-        calls.append(args[0])
+        calls.append((args, kwargs))
         return sql(self, *args, **kwargs)
 
     monkeypatch.setattr(SparkSession, "sql", counted)
     run_system(spark, snb_cat, _SNB[qname], system, collect=False)
     assert len(calls) == 1
+    (args, kwargs), = calls
+    assert len(args) == 1 and kwargs == {}
+    assert "{arg" not in args[0]

@@ -6,27 +6,27 @@ from pathlib import Path
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql import SparkSession
 
 from repro.bench import workloads_snb
 from repro.bench.runners import run_system
 from repro.core.bitmask import SemiJoinMasks
 from repro.core.catalog import Catalog
-from repro.core.rewrite import GRAIN_FULL
 from repro.exec import executor, sip
-from repro.exec.executor import _Ctx
+from repro.exec.executor import PlanExecutor, relation_text
 from repro.exec.sip import apply_sip_filter
+from repro.plan.nodes import MergeJoinNode, joins_of
 from repro.plan.spec import JoinEdge, QuerySpec, TableRef
 from tests.util import assert_oracle, executed_joins, oracle_check
 
 
 def _filtered(spark, pdf, masks):
     """The scan of ``pdf`` as alias ``p`` with ScanSJ applied: its statement
-    text and result, through the executor's relation builder."""
+    text and result, through the executor's relation renderer."""
     spark.createDataFrame(pdf).createOrReplaceTempView("sip_p")
-    ctx = _Ctx(spark, GRAIN_FULL)
-    source, cond = apply_sip_filter(ctx.relation, "`sip_p` AS `p`", "p", masks)
+    source, cond = apply_sip_filter(relation_text, "`sip_p` AS `p`", "p", masks)
     sql = f"SELECT * FROM {source}" + (f" WHERE {cond}" if cond else "")
-    return sql, spark.sql(sql, **ctx.args) if ctx.args else spark.sql(sql)
+    return sql, spark.sql(sql)
 
 
 def test_apply_sip_filter_selects_rows(spark, monkeypatch):
@@ -39,7 +39,9 @@ def test_apply_sip_filter_selects_rows(spark, monkeypatch):
     monkeypatch.setattr(sip, "ISIN_MAX", 2)
     sql, df = _filtered(spark, pdf, masks)
     assert sql == ("SELECT * FROM (SELECT /*+ BROADCAST(`p__sip`) */ * FROM `sip_p` AS `p` "
-                   "LEFT SEMI JOIN {arg0} AS `p__sip` ON `p`.`_rid` = `p__sip`.`_rid`) AS `p`")
+                   "LEFT SEMI JOIN (SELECT z.`0` AS `_rid` FROM (SELECT inline(arrays_zip("
+                   "CAST(split('1,5,9', ',') AS ARRAY<BIGINT>)))) AS z) AS `p__sip` "
+                   "ON `p`.`_rid` = `p__sip`.`_rid`) AS `p`")
     assert "LeftSemi, BuildRight" in df._jdf.queryExecution().executedPlan().toString()
     assert sorted(df.toPandas()["_rid"]) == [1, 5, 9]
 
@@ -64,6 +66,45 @@ def test_apply_sip_preserves_schema(spark, monkeypatch):
         _sql, df = _filtered(spark, pdf, masks)
         assert df.schema == spark.table("sip_p").schema
         assert df.toPandas()["s"].tolist() == ["c"]
+
+
+def test_relation_text_keeps_rows_types_and_duplicates(spark):
+    # The SJoinIdxM pairs are a bag: a (p1, p2) pair appears once per F row.
+    df = spark.sql("SELECT * FROM " + relation_text(
+        {"a": np.array([3, 1, 1, 2**40]), "b": np.array([7, 0, 0, -1])}) + " AS m")
+    assert df.dtypes == [("a", "bigint"), ("b", "bigint")]
+    assert [tuple(r) for r in df.collect()] == [(3, 7), (1, 0), (1, 0), (2**40, -1)]
+
+
+def test_empty_relation_text_is_typed(spark):
+    empty = np.array([], dtype=np.int64)
+    df = spark.sql(f"SELECT * FROM {relation_text({'a': empty, 'b': empty})} AS m")
+    assert df.dtypes == [("a", "bigint"), ("b", "bigint")]
+    assert df.count() == 0
+
+
+def test_sjoin_idxm_with_an_empty_build_side(spark, follows_cat, monkeypatch):
+    # No person is called Nobody, so SJoinIdxM's build side selects no row
+    # and its pairs relation is the empty text.
+    spec = QuerySpec(
+        name="merge_nobody",
+        tables=[TableRef("p1", "person"), TableRef("f1", "follows"),
+                TableRef("p2", "person"), TableRef("f2", "follows"),
+                TableRef("p3", "person")],
+        joins=[JoinEdge.of("p1.ID", "f1.ID1"), JoinEdge.of("f1.ID2", "p2.ID"),
+               JoinEdge.of("p2.ID", "f2.ID1"), JoinEdge.of("f2.ID2", "p3.ID")],
+        filters=["p1.name = 'Nobody'"],
+        select=[("p3.name", "n3")],
+    )
+    plan = PlanExecutor(spark, follows_cat).build_plan(spec, "GRainDB")
+    assert any(isinstance(j, MergeJoinNode) for j in joins_of(plan))
+    texts = []
+    sql = SparkSession.sql
+    monkeypatch.setattr(SparkSession, "sql",
+                        lambda self, text: texts.append(text) or sql(self, text))
+    out = oracle_check(spark, follows_cat, spec, "GRainDB")
+    assert "(SELECT CAST(NULL AS BIGINT) AS `__m_p1`" in texts[0]
+    assert out.df.count() == 0
 
 
 @pytest.fixture(scope="module")
