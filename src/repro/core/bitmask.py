@@ -29,8 +29,10 @@ class SemiJoinMasks:
     @classmethod
     def from_rids(cls, rids: np.ndarray, n_rows: int, zone_size: int) -> "SemiJoinMasks":
         """Build masks from the (possibly duplicated, unsorted) RIDs seen on the
-        build side. RIDs outside ``[0, n_rows)`` are a programming error."""
-        rids = np.asarray(rids, dtype=np.int64)
+        build side, an integer array read as it is (no widening copy of the
+        catalog's 32-bit RIDs). RIDs outside ``[0, n_rows)`` are a programming
+        error."""
+        rids = np.asarray(rids)
         if rids.size and (rids.min() < 0 or rids.max() >= n_rows):
             raise ValueError(
                 f"RID out of range [0, {n_rows}): min={rids.min()}, max={rids.max()}"

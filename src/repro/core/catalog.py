@@ -7,6 +7,8 @@ This is the repo's stand-in for the storage layer the paper extends (§3):
 - ``predefine_join(F, fk, P, pk)`` is the ``PREDEFINE JOIN`` command: it
   materializes a hidden ``_rid_<P>__<fk>`` column on *F* holding the RID of
   the matching *P* row (a system-level pointer, like a GDBMS edge);
+- every RID, in the driver and in Spark, is 32-bit (``int32``, Spark
+  ``int``), so a table holds at most ``MAX_ROWS`` rows;
 - ``build_rid_index`` builds the CSR RID index (optionally extended, §5.2).
 
 Tables are loaded as pandas (deterministic generators), RID-materialized in
@@ -35,10 +37,16 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.rid_index import RIDIndex
+from repro.core.rid_index import RID_DTYPE, RIDIndex
 
 RID = "_rid"
 DEFAULT_ZONE_SIZE = 2048
+# Every RID is ``RID_DTYPE`` (Spark ``int``), and so is every RID-index
+# offset, the largest of which is a table's row count.
+MAX_ROWS = int(np.iinfo(RID_DTYPE).max)
+# Set to 0 while ``finalize`` loads, so ``createDataFrame`` never makes a
+# ``LocalRelation`` that holds the table's rows.
+_LOCAL_RELATION_THRESHOLD = "spark.sql.execution.arrow.localRelationThreshold"
 
 
 def rid_col_name(p_table: str, fk_cols: tuple[str, ...]) -> str:
@@ -132,8 +140,11 @@ class Catalog:
             raise ValueError(f"table {name!r} already registered")
         if RID in pdf.columns:
             raise ValueError(f"column name {RID!r} is reserved")
+        if len(pdf) > MAX_ROWS:
+            raise ValueError(f"table {name!r} has {len(pdf)} rows; a 32-bit RID "
+                             f"addresses at most {MAX_ROWS}")
         ext = pdf.reset_index(drop=True)  # a copy: the caller's frame is untouched
-        ext[RID] = np.arange(len(ext), dtype=np.int64)
+        ext[RID] = np.arange(len(ext), dtype=RID_DTYPE)
         t = Table(name=name, pdf=ext, user_columns=list(pdf.columns))
         self.tables[name] = t
         # The view keeps the columns present now: the user columns and _rid,
@@ -177,7 +188,7 @@ class Catalog:
         if rids.isna().any():
             raise ValueError(f"{rids.isna().sum()} of {f.n_rows} rows of {f_table}{fk_cols} "
                              f"match no {p_table}{pk_cols} row (a dangling or null FK)")
-        f.pdf[pj.rid_col] = rids.to_numpy(dtype=np.int64)
+        f.pdf[pj.rid_col] = rids.to_numpy(dtype=RID_DTYPE)
         f.rid_cols[fk_cols] = pj.rid_col
         self.predefined[key] = pj
         return pj
@@ -233,11 +244,15 @@ class Catalog:
 
         A table under 200k rows loads in a one-task Spark job, so the tables
         load concurrently on a pool of ``defaultParallelism`` threads: one
-        table per Spark core. Below
-        ``spark.sql.execution.arrow.localRelationThreshold`` (48 MB)
-        ``createDataFrame`` from pandas is a local relation, which Spark scans
-        as ``defaultParallelism`` partitions; coalesce to ~200k rows per
-        partition before caching.
+        table per Spark core. For the loads only, the session's
+        ``spark.sql.execution.arrow.localRelationThreshold`` is 0, so
+        ``createDataFrame`` from pandas ships the rows as an RDD (a
+        ``LogicalRDD`` in the plan) instead of a ``LocalRelation`` that holds
+        them: no statement's analysis or planning over a view then grows with
+        its table's rows, and two catalogs with equal data get two cache
+        entries, so ``unpersist`` of one leaves the other's cached. The
+        previous value is restored afterwards. Each table is coalesced to
+        ~200k rows per partition before caching.
 
         If a load fails, the first error in table order is raised once every
         load has ended, and the catalog stays unfinalized. A view is registered
@@ -254,8 +269,13 @@ class Catalog:
             df.createOrReplaceTempView(t.view)
             df.count()  # materialize so query timings exclude load
 
-        with ThreadPoolExecutor(self.spark.sparkContext.defaultParallelism) as pool:
-            loads = [pool.submit(load, t) for t in self.tables.values()]
+        threshold = self.spark.conf.get(_LOCAL_RELATION_THRESHOLD)
+        self.spark.conf.set(_LOCAL_RELATION_THRESHOLD, "0")
+        try:
+            with ThreadPoolExecutor(self.spark.sparkContext.defaultParallelism) as pool:
+                loads = [pool.submit(load, t) for t in self.tables.values()]
+        finally:
+            self.spark.conf.set(_LOCAL_RELATION_THRESHOLD, threshold)
         for f in loads:
             f.result()
         self._finalized = True
@@ -270,10 +290,11 @@ class Catalog:
 
     # ---------------------------------------------------------------- filter
     def scan_rids(self, table: str, alias: str, filters: list[str]) -> np.ndarray:
-        """int64 RIDs of ``table``'s rows that pass all of ``filters``, raw
-        ``alias.col`` predicates (a scan's pushed-down filters)."""
+        """RIDs (``RID_DTYPE``) of ``table``'s rows that pass all
+        of ``filters``, raw ``alias.col`` predicates (a scan's pushed-down
+        filters). DuckDB reads ``_rid`` as ``INTEGER`` and returns it as is."""
         if not filters:
-            return np.arange(self.tables[table].n_rows, dtype=np.int64)
+            return np.arange(self.tables[table].n_rows, dtype=RID_DTYPE)
         where = " AND ".join(f"({f})" for f in filters)
         sql = f'SELECT "{RID}" FROM "{table}" AS {alias} WHERE {where}'
         return self._con.execute(sql).fetchnumpy()[RID]

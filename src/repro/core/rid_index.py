@@ -23,6 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike
 
+# The dtype of every RID in the driver: ``_rid``, the pointer columns, the
+# index's arrays and the RID sets derived from them (Spark ``int``).
+RID_DTYPE = np.int32
+
 
 @dataclass
 class RIDIndex:
@@ -30,12 +34,14 @@ class RIDIndex:
 
     ``offsets`` has ``n_p + 1`` entries; the F-RIDs joining P-row ``i`` are
     ``f_rids[offsets[i]:offsets[i+1]]``. ``ext_rids`` (if present) holds the
-    P2-RIDs aligned one-to-one with ``f_rids``.
+    P2-RIDs aligned one-to-one with ``f_rids``. All three are ``RID_DTYPE``:
+    the last offset is F's row count, which ``Catalog.register`` caps at
+    ``catalog.MAX_ROWS``.
     """
 
-    offsets: np.ndarray  # int64, shape (n_p + 1,)
-    f_rids: np.ndarray  # int64
-    ext_rids: np.ndarray | None  # int64 aligned with f_rids, or None
+    offsets: np.ndarray  # int32, shape (n_p + 1,)
+    f_rids: np.ndarray  # int32
+    ext_rids: np.ndarray | None  # int32 aligned with f_rids, or None
 
     @classmethod
     def build(
@@ -45,20 +51,21 @@ class RIDIndex:
         ext_values: ArrayLike | None = None,
     ) -> "RIDIndex":
         """Build from F's materialized RID column (position = F's own RID)."""
-        keys = np.asarray(rid_p_values, dtype=np.int64)
-        f_rids = np.argsort(keys, kind="stable")
+        keys = np.asarray(rid_p_values, dtype=RID_DTYPE)
+        order = np.argsort(keys, kind="stable")  # int64 positions
         counts = np.bincount(keys, minlength=n_p)
-        offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-        ext_rids = None if ext_values is None else np.asarray(ext_values, dtype=np.int64)[f_rids]
-        return cls(offsets=offsets, f_rids=f_rids, ext_rids=ext_rids)
+        offsets = np.concatenate(([0], np.cumsum(counts))).astype(RID_DTYPE)
+        ext_rids = None if ext_values is None else np.asarray(ext_values, dtype=RID_DTYPE)[order]
+        return cls(offsets=offsets, f_rids=order.astype(RID_DTYPE), ext_rids=ext_rids)
 
     def _gather_idx(self, p_rids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Ragged-gather positions for a batch of keys.
 
         Returns (repeat_of_input_positions, flat CSR positions) so callers can
-        align gathered entries back to their input rows.
+        align gathered entries back to their input rows. Both are int64
+        scratch; what callers gather through them keeps the index's dtype.
         """
-        p_rids = np.asarray(p_rids, dtype=np.int64)
+        p_rids = np.asarray(p_rids)
         starts = self.offsets[p_rids]
         cnt = self.offsets[p_rids + 1] - starts
         total = int(cnt.sum())
@@ -79,6 +86,6 @@ class RIDIndex:
         semantics are preserved: a (p1, p2) pair appears once per F row."""
         if self.ext_rids is None:
             raise ValueError("pairs() requires an extended RID index")
-        p_rids = np.asarray(p_rids, dtype=np.int64)
+        p_rids = np.asarray(p_rids, dtype=RID_DTYPE)
         rep, gidx = self._gather_idx(p_rids)
         return p_rids[rep], self.f_rids[gidx], self.ext_rids[gidx]

@@ -47,7 +47,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.bitmask import SemiJoinMasks
-from repro.core.catalog import RID, Catalog, Table
+from repro.core.catalog import RID, RID_DTYPE, Catalog, Table
 from repro.core.rewrite import CONFIGS, GRAIN_FULL, GrainConfig, rewrite_plan
 from repro.core.semijoin_reduce import _via
 from repro.exec import sip
@@ -107,18 +107,20 @@ class _Ctx:
 
 
 def relation_text(cols: dict[str, np.ndarray]) -> str:
-    """SQL text of a relation the driver built: one ``bigint`` column per
-    entry of ``cols`` (equal-length integer arrays), one row per position,
-    duplicates kept. Each column is one comma-separated string literal, so
-    the parser sees one token per column, not one per value as in a
-    ``VALUES`` list; its cast to ``ARRAY<BIGINT>`` folds to a literal array
-    at optimization, so no row parses a string. An empty relation has its
-    own text, since ``CAST('' AS BIGINT)`` fails under ANSI mode."""
+    """SQL text of a relation the driver built: one ``int`` column per entry
+    of ``cols`` (equal-length arrays of RIDs), one row per position,
+    duplicates kept. ``int`` is the type of every RID column in Spark, so a
+    join of this relation with a scan's RIDs casts no key. Each column is one
+    comma-separated string literal, so the parser sees one token per column,
+    not one per value as in a ``VALUES`` list; its cast to ``ARRAY<INT>``
+    folds to a literal array at optimization, so no row parses a string. An
+    empty relation has its own text, since ``CAST('' AS INT)`` fails under
+    ANSI mode."""
     if len(next(iter(cols.values()))) == 0:
-        typed = ", ".join(f"CAST(NULL AS BIGINT) AS `{c}`" for c in cols)
+        typed = ", ".join(f"CAST(NULL AS INT) AS `{c}`" for c in cols)
         return f"(SELECT {typed} WHERE FALSE)"
     named = ", ".join(f"z.`{i}` AS `{c}`" for i, c in enumerate(cols))
-    arrays = ", ".join(f"CAST(split('{','.join(map(str, v.tolist()))}', ',') AS ARRAY<BIGINT>)"
+    arrays = ", ".join(f"CAST(split('{','.join(map(str, v.tolist()))}', ',') AS ARRAY<INT>)"
                        for v in cols.values())
     return f"(SELECT {named} FROM (SELECT inline(arrays_zip({arrays}))) AS z)"
 
@@ -299,7 +301,7 @@ class PlanExecutor:
         if rids is None:
             if col is None:
                 return  # no information to pass
-            rids = np.arange(src.n_rows)  # every row's pointer
+            rids = np.arange(src.n_rows, dtype=RID_DTYPE)  # every row's pointer
         idx = (self.catalog.rid_index(*action.index_key)
                if action.kind == "index" else None)
         self._pass_rids(_via(col, idx)(rids), action.target_alias, spec, ctx)
@@ -333,7 +335,7 @@ class PlanExecutor:
         p1_rids = sets.get(node.p1_alias)
         if p1_rids is None:
             p1_rids = np.arange(
-                self.catalog.table(spec.table_of(node.p1_alias)).n_rows, dtype=np.int64
+                self.catalog.table(spec.table_of(node.p1_alias)).n_rows, dtype=RID_DTYPE
             )
         idx = self.catalog.rid_index(*node.index_key)
         src, _f, dst = idx.pairs(p1_rids)

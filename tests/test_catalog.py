@@ -5,7 +5,12 @@ import pandas as pd
 import pytest
 from pyspark.errors import PySparkTypeError
 
+import repro.core.catalog as catalog_mod
+from repro.bench import workloads_snb
+from repro.core.bitmask import SemiJoinMasks
 from repro.core.catalog import RID, Catalog, rid_col_name
+from repro.core.rewrite import CONFIGS
+from repro.exec.executor import PlanExecutor
 from repro.oracle import assert_equivalent
 from repro.plan.spec import JoinEdge, QuerySpec, TableRef
 from tests.util import ALL_SYSTEMS, executed_joins, oracle_check
@@ -29,6 +34,50 @@ def test_dense_rid_assignment(cat):
     assert t.pdf[RID].tolist() == [0, 1, 2]
 
 
+def test_register_rejects_more_rows_than_a_rid_addresses(cat, monkeypatch):
+    monkeypatch.setattr(catalog_mod, "MAX_ROWS", 3)
+    cat.register("ok", pd.DataFrame({"x": [1, 2, 3]}))
+    # The guard runs before ``register`` copies the frame.
+    monkeypatch.setattr(pd.DataFrame, "reset_index",
+                        lambda *a, **k: pytest.fail("the frame was copied"))
+    with pytest.raises(ValueError, match="32-bit RID"):
+        cat.register("big", pd.DataFrame({"x": [1, 2, 3, 4]}))
+    assert "big" not in cat.tables
+
+
+def test_rids_are_32_bit_end_to_end(spark, snb_cat, monkeypatch):
+    int32 = np.dtype(np.int32)
+    for t in snb_cat.tables.values():
+        rid_cols = [RID] + list(t.rid_cols.values())
+        assert all(t.pdf[c].dtype == int32 for c in rid_cols)
+        types = dict(spark.table(t.view).dtypes)
+        assert all(types[c] == "int" for c in rid_cols)
+        # User columns keep the types Spark gives the frame as registered.
+        assert [types[c] for c in t.user_columns] == [
+            ty for _, ty in spark.createDataFrame(t.pdf_original.head(1)).dtypes]
+    extended = 0
+    for idx in snb_cat.indices.values():
+        assert idx.offsets.dtype == idx.f_rids.dtype == int32
+        p_rids = np.arange(min(5, len(idx.offsets) - 1), dtype=np.int32)
+        assert idx.lookup_many(p_rids).dtype == int32
+        if idx.ext_rids is not None:
+            extended += 1
+            assert idx.ext_rids.dtype == int32
+            assert all(a.dtype == int32 for a in idx.pairs(p_rids))
+    assert extended
+    assert snb_cat.scan_rids("person", "p", []).dtype == int32
+    assert snb_cat.scan_rids("person", "p", ["p.id > 0"]).dtype == int32
+    # Every RID set the executor turns into masks, in every relational mode.
+    seen = []
+    from_rids = SemiJoinMasks.from_rids.__func__
+    monkeypatch.setattr(SemiJoinMasks, "from_rids", classmethod(
+        lambda cls, rids, *a: seen.append(rids) or from_rids(cls, rids, *a)))
+    ex = PlanExecutor(spark, snb_cat)
+    for mode in CONFIGS:
+        ex.execute(workloads_snb.specs()["IC1-1"], mode, collect=False)
+    assert seen and all(r.dtype == int32 for r in seen)
+
+
 def test_rid_reserved(cat):
     with pytest.raises(ValueError):
         cat.register("t", pd.DataFrame({RID: [1]}))
@@ -44,7 +93,7 @@ def test_predefine_materializes_rids(cat):
     _register_pair(cat)
     pj = cat.predefine_join("f", ["fk"], "p", ["k"])
     col = cat.table("f").pdf[pj.rid_col]
-    assert col.dtype == np.int64 and col.tolist() == [1, 0, 1, 2]
+    assert col.dtype == np.int32 and col.tolist() == [1, 0, 1, 2]
 
 
 def test_predefine_preserves_row_order(cat):
@@ -184,7 +233,7 @@ def test_finalize_creates_cached_dfs(spark, cat):
     df = spark.table(view)
     cols = set(df.columns)
     assert RID in cols and rid_col_name("p", ("fk",)) in cols
-    assert dict(df.dtypes)[rid_col_name("p", ("fk",))] == "bigint"
+    assert dict(df.dtypes)[rid_col_name("p", ("fk",))] == "int"
     assert df.count() == 4
 
 
@@ -265,7 +314,7 @@ def test_predefine_relationship_builds_both_indices(cat):
 def test_scan_rids_no_filters_is_every_row(cat):
     _register_pair(cat)
     got = cat.scan_rids("f", "x", [])
-    assert got.dtype == np.int64 and got.tolist() == [0, 1, 2, 3]
+    assert got.dtype == np.int32 and got.tolist() == [0, 1, 2, 3]
 
 
 def test_scan_rids_alias_text_inside_literal(cat):
@@ -285,7 +334,7 @@ def test_scan_rids_after_predefine_join(cat):
 def test_scan_rids_empty_result(cat):
     _register_pair(cat)
     got = cat.scan_rids("f", "f", ["f.w > 100"])
-    assert got.dtype == np.int64 and len(got) == 0
+    assert got.dtype == np.int32 and len(got) == 0
 
 
 def test_unpersist_closes_the_connection(spark):
@@ -346,10 +395,39 @@ def test_finalize_loads_more_tables_than_cores(spark):
         assert spark.catalog.isCached(t.view)
         df = spark.table(t.view)
         if t.rid_cols:
-            assert dict(df.dtypes)[t.rid_cols[("fk",)]] == "bigint"
+            assert dict(df.dtypes)[t.rid_cols[("fk",)]] == "int"
         got = df.toPandas().sort_values(RID).reset_index(drop=True)
         pd.testing.assert_frame_equal(got, t.pdf)
     c.unpersist()
+    assert _persistent_rdds(spark) == before
+
+
+def test_unpersist_leaves_a_same_data_catalog_cached(spark):
+    # Each catalog caches its own copy of equal data, so dropping one
+    # catalog's views leaves the other's cached.
+    key = "spark.sql.execution.arrow.localRelationThreshold"
+    previous = spark.conf.get(key)
+    spark.conf.set(key, "1m")
+    try:
+        before = _persistent_rdds(spark)
+        cats = []
+        for _ in range(2):
+            c = Catalog(spark)
+            c.register("p", pd.DataFrame({"k": [10, 20, 30]}))
+            c.finalize()
+            cats.append(c)
+        assert spark.conf.get(key) == "1m"  # restored after the loads
+    finally:
+        spark.conf.set(key, previous)
+    first, second = cats
+    assert _persistent_rdds(spark) == before + 2
+    first.unpersist()
+    assert _persistent_rdds(spark) == before + 1
+    view = second.table("p").view
+    assert spark.catalog.isCached(view)
+    assert "LocalTableScan" not in spark.table(view)._jdf.queryExecution().toString()
+    assert sorted(r.k for r in spark.table(view).collect()) == [10, 20, 30]
+    second.unpersist()
     assert _persistent_rdds(spark) == before
 
 

@@ -8,6 +8,7 @@ import pytest
 
 import repro.exec.executor as executor
 from repro.bench import workloads_job, workloads_snb, workloads_tpch
+from repro.bench.runners import run_system
 from repro.core.catalog import RID
 from repro.core.rewrite import CONFIGS
 from repro.exec.executor import PlanExecutor
@@ -119,3 +120,23 @@ def test_executed_joins_follow_the_plan(spark, request, workload, qname, mode):
         assert build == side
         assert [k for k in pairs if k in keys] == keys
         assert {frozenset(k) for k in pairs if k not in keys} <= residual_keys
+
+
+_CAST = re.compile(r"cast\(")
+# A single integral broadcast key is packed into a long by Spark itself.
+_KEY_PACKING = re.compile(
+    r"HashedRelationBroadcastMode\(List\(cast\(input\[\d+, int, (?:true|false)\] as bigint\)\)")
+
+
+@pytest.mark.parametrize("system", list(CONFIGS) + ["GraphflowDB"])
+@pytest.mark.parametrize("qname", SNB_QUERIES + ["IC9-2"])
+def test_rid_join_keys_are_never_cast(spark, snb_cat, qname, system):
+    # Both sides of every RID join are ``int``, so no join key is a cast.
+    out = run_system(spark, snb_cat, workloads_snb.specs()[qname], system, collect=False)
+    joins = [rest for op, rest in executed_joins(out.df) if op == "BroadcastHashJoin"]
+    assert joins
+    for rest in joins:
+        for keys in re.match(r"\[(.*?)\], \[(.*?)\]", rest).groups():
+            assert all(re.fullmatch(r"\w+", k) for k in keys.split(", ")), rest
+    plan = out.df._jdf.queryExecution().executedPlan().toString()
+    assert len(_CAST.findall(plan)) == len(_KEY_PACKING.findall(plan))

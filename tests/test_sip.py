@@ -40,7 +40,7 @@ def test_apply_sip_filter_selects_rows(spark, monkeypatch):
     sql, df = _filtered(spark, pdf, masks)
     assert sql == ("SELECT * FROM (SELECT /*+ BROADCAST(`p__sip`) */ * FROM `sip_p` AS `p` "
                    "LEFT SEMI JOIN (SELECT z.`0` AS `_rid` FROM (SELECT inline(arrays_zip("
-                   "CAST(split('1,5,9', ',') AS ARRAY<BIGINT>)))) AS z) AS `p__sip` "
+                   "CAST(split('1,5,9', ',') AS ARRAY<INT>)))) AS z) AS `p__sip` "
                    "ON `p`.`_rid` = `p__sip`.`_rid`) AS `p`")
     assert "LeftSemi, BuildRight" in df._jdf.queryExecution().executedPlan().toString()
     assert sorted(df.toPandas()["_rid"]) == [1, 5, 9]
@@ -70,16 +70,18 @@ def test_apply_sip_preserves_schema(spark, monkeypatch):
 
 def test_relation_text_keeps_rows_types_and_duplicates(spark):
     # The SJoinIdxM pairs are a bag: a (p1, p2) pair appears once per F row.
+    # RIDs are 32-bit, so the largest value is the int32 maximum.
+    big = 2**31 - 1
     df = spark.sql("SELECT * FROM " + relation_text(
-        {"a": np.array([3, 1, 1, 2**40]), "b": np.array([7, 0, 0, -1])}) + " AS m")
-    assert df.dtypes == [("a", "bigint"), ("b", "bigint")]
-    assert [tuple(r) for r in df.collect()] == [(3, 7), (1, 0), (1, 0), (2**40, -1)]
+        {"a": np.array([3, 1, 1, big]), "b": np.array([7, 0, 0, -1])}) + " AS m")
+    assert df.dtypes == [("a", "int"), ("b", "int")]
+    assert [tuple(r) for r in df.collect()] == [(3, 7), (1, 0), (1, 0), (big, -1)]
 
 
 def test_empty_relation_text_is_typed(spark):
     empty = np.array([], dtype=np.int64)
     df = spark.sql(f"SELECT * FROM {relation_text({'a': empty, 'b': empty})} AS m")
-    assert df.dtypes == [("a", "bigint"), ("b", "bigint")]
+    assert df.dtypes == [("a", "int"), ("b", "int")]
     assert df.count() == 0
 
 
@@ -103,7 +105,7 @@ def test_sjoin_idxm_with_an_empty_build_side(spark, follows_cat, monkeypatch):
     monkeypatch.setattr(SparkSession, "sql",
                         lambda self, text: texts.append(text) or sql(self, text))
     out = oracle_check(spark, follows_cat, spec, "GRainDB")
-    assert "(SELECT CAST(NULL AS BIGINT) AS `__m_p1`" in texts[0]
+    assert "(SELECT CAST(NULL AS INT) AS `__m_p1`" in texts[0]
     assert out.df.count() == 0
 
 
